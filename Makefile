@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet lint check race bench chaos fuzz cover serve-smoke serve-faults serve-tenants serve-resume
+.PHONY: all build test vet lint check race chaos fuzz cover serve-smoke serve-faults serve-tenants serve-resume
 
 all: check
 
@@ -90,10 +90,3 @@ serve-tenants:
 # scripts/serve_resume.sh.
 serve-resume:
 	./scripts/serve_resume.sh
-
-# bench runs the root benchmark suite (sim-heap throughput in events/sec
-# plus allocs/op for the sim heap, shell hot path, and net routing) and
-# files the parsed results as the next free BENCH_<n>.json snapshot via
-# cmd/benchjson. Committed snapshots are the serving-capacity baseline.
-bench:
-	$(GO) test -run '^$$' -bench=. -benchmem . | $(GO) run ./cmd/benchjson

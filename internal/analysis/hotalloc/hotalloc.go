@@ -1,14 +1,14 @@
 // Package hotalloc keeps the measured hot paths allocation-free.
 //
-// The bench suite (bench_test.go) pins allocs/op on four paths — the
-// event-heap push/pop kernel, the shell remote-load data path, torus
-// route lookup, and AM dispatch — and the ROADMAP item-1 target (10×
-// events/sec) dies by a thousand heap cuts: one escaping composite per
-// event, one interface box per trace call, one closure per wait. A
-// function on such a path carries a //t3d:hotpath annotation in its doc
-// comment, and this pass enforces the contract the annotation declares:
-// nothing in the function's body — nor in any helper it calls, up to
-// the next annotated boundary — may allocate.
+// The benchmark (bench/) measures allocs/op on the hot paths — the
+// sim.at_pop_*, splitc.*, am.send_poll_* and shell.fetch_inc_* rungs
+// and the per-workload host.allocs_per_* — and the ROADMAP item-1
+// target (10× events/sec) dies by a thousand heap cuts: one escaping
+// composite per event, one interface box per trace call, one closure
+// per wait. A function on such a path carries a //t3d:hotpath
+// annotation in its doc comment, and this pass enforces the contract
+// the annotation declares: nothing in the function's body — nor in any
+// helper it calls, up to the next annotated boundary — may allocate.
 //
 // Flagged in an annotated function (function literals inside one
 // inherit the annotation — a closure runs on the same path):

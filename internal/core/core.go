@@ -136,6 +136,7 @@ func Sawtooth(newMachine func() *machine.T3D, probe Probe, cfg SawtoothConfig) P
 
 func sawtoothPoint(newMachine func() *machine.T3D, probe Probe, cfg SawtoothConfig, size, stride int64) float64 {
 	m := newMachine()
+	defer m.Eng.Shutdown() // reap the write-buffer procs the probe leaves parked
 	var avg float64
 	m.RunOn(0, func(p *sim.Proc, n *machine.Node) {
 		if probe.Setup != nil {

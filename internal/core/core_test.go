@@ -8,8 +8,8 @@ import (
 
 func newM() *machine.T3D { return machine.New(machine.DefaultConfig(2)) }
 
-// smallCfg keeps unit-test sweeps fast; the full Figure 1 sweep runs in
-// the benchmark harness.
+// smallCfg keeps unit-test sweeps fast; the full Figure 1 sweep is
+// `t3dbench -experiment fig1 -full`.
 func smallCfg() SawtoothConfig {
 	return SawtoothConfig{
 		Sizes:       []int64{4 << 10, 16 << 10, 64 << 10},

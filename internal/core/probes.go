@@ -144,6 +144,7 @@ func PrefetchProbe(newMachine func() *machine.T3D, groups []int, reps int) []Pre
 			}
 			avg = float64(p.Now()-start) / float64(reps*g) * cpu.NSPerCycle
 		})
+		m.Eng.Shutdown() // reap the write-buffer procs before the next group's machine
 		out = append(out, PrefetchPoint{g, avg})
 	}
 	return out

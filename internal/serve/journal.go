@@ -30,15 +30,15 @@ const (
 // the JSON, a newline. The checksum turns silent read-back corruption —
 // a host-disk failure mode the simulator-side extI work showed must be
 // assumed, not hoped away — into a detected refusal instead of a
-// mis-replayed job. Lines that start with '{' are accepted as legacy
-// unchecksummed records so pre-rotation journals still replay.
+// mis-replayed job.
 type Record struct {
 	Type string `json:"type"`
 	ID   string `json:"id,omitempty"`
 	Key  string `json:"key,omitempty"` // canonical spec hash, hex
 	// Tenant tags the record for operators grepping the journal; replay
-	// takes the tenant from Spec (Normalize defaults legacy pre-tenant
-	// records to DefaultTenant), so this field is informational.
+	// takes the tenant from Spec (Normalize maps the empty Spec.Tenant of
+	// a submit without a tenant to DefaultTenant), so this field is
+	// informational.
 	Tenant string     `json:"tenant,omitempty"`
 	Spec   *JobSpec   `json:"spec,omitempty"`
 	Result *JobResult `json:"result,omitempty"`
@@ -125,11 +125,10 @@ type JournalHealth struct {
 
 // Journal is the append-only WAL, hardened against the host disk
 // failing. Storage is a sequence of checksummed segments
-// (<path>.seg000001, ...; a bare <path> file from the pre-segment
-// format is read first and absorbed by compaction). Appends are
-// serialized and durable (write + fsync) before they return; any
-// append failure first repairs the segment tail (truncate to the last
-// good byte) so a retry can never leave garbage between valid records.
+// (<path>.seg000001, ...). Appends are serialized and durable (write +
+// fsync) before they return; any append failure first repairs the
+// segment tail (truncate to the last good byte) so a retry can never
+// leave garbage between valid records.
 //
 // When appends fail persistently the journal enters degraded mode:
 // Append fails fast with *DegradedError (no disk touch), and a heal
@@ -199,11 +198,7 @@ func OpenJournalWith(path string, opts JournalOptions) (*Journal, []Record, erro
 			opts.Logf("serve: journal: removing stale %s: %v", tmp, err)
 		}
 	}
-	// Replay order: the legacy single file first, then segments sorted.
-	var paths []string
-	if contains(names, base) {
-		paths = append(paths, path)
-	}
+	// Replay order: segments sorted; the last is the active one.
 	var segNums []int
 	for _, n := range names {
 		var num int
@@ -212,18 +207,11 @@ func OpenJournalWith(path string, opts JournalOptions) (*Journal, []Record, erro
 		}
 	}
 	sort.Ints(segNums)
-	for _, n := range segNums {
-		paths = append(paths, segPath(path, n))
-	}
 
 	var recs []Record
-	activeIdx := -1 // index into paths of the segment we keep appending to
-	if k := len(segNums); k > 0 {
-		j.segIndex = segNums[k-1]
-		activeIdx = len(paths) - 1
-	}
 	var activeGood int64
-	for i, p := range paths {
+	for i, n := range segNums {
+		p := segPath(path, n)
 		data, err := hostfs.ReadFile(j.fs, p)
 		if err != nil {
 			return nil, nil, &HostError{Op: "journal open", Err: err}
@@ -237,7 +225,7 @@ func OpenJournalWith(path string, opts JournalOptions) (*Journal, []Record, erro
 			j.opts.Logf("serve: journal: dropped torn tail in %s (%d good bytes): %v", p, goodOff, torn)
 		}
 		recs = append(recs, segRecs...)
-		if i == activeIdx {
+		if i == len(segNums)-1 {
 			activeGood = goodOff
 		} else {
 			j.sealed = append(j.sealed, p)
@@ -248,8 +236,8 @@ func OpenJournalWith(path string, opts JournalOptions) (*Journal, []Record, erro
 		j.noteRecord(r)
 	}
 
-	if activeIdx < 0 {
-		// Fresh journal (or legacy-only): start the first segment.
+	if len(segNums) == 0 {
+		// Fresh journal: start the first segment.
 		j.segIndex = 1
 		f, err := j.fs.OpenFile(segPath(path, 1), os.O_CREATE|os.O_TRUNC|os.O_RDWR, 0o644)
 		if err != nil {
@@ -258,7 +246,8 @@ func OpenJournalWith(path string, opts JournalOptions) (*Journal, []Record, erro
 		j.f = f
 		return j, recs, nil
 	}
-	f, err := j.fs.OpenFile(paths[activeIdx], os.O_RDWR, 0o644)
+	j.segIndex = segNums[len(segNums)-1]
+	f, err := j.fs.OpenFile(segPath(path, j.segIndex), os.O_RDWR, 0o644)
 	if err != nil {
 		return nil, nil, &HostError{Op: "journal open", Err: err}
 	}
@@ -310,19 +299,16 @@ func encodeLine(r Record) ([]byte, error) {
 // the caller.
 func parseLine(line []byte) (Record, error) {
 	var r Record
-	payload := line
-	if line[0] != '{' {
-		if len(line) < 10 || line[8] != ' ' {
-			return r, fmt.Errorf("malformed line prefix %q", clip(line))
-		}
-		var sum uint32
-		if _, err := fmt.Sscanf(string(line[:8]), "%08x", &sum); err != nil {
-			return r, fmt.Errorf("malformed checksum %q: %w", clip(line[:8]), err)
-		}
-		payload = line[9:]
-		if got := crc32.ChecksumIEEE(payload); got != sum {
-			return r, fmt.Errorf("checksum mismatch: line says %08x, payload is %08x", sum, got)
-		}
+	if len(line) < 10 || line[8] != ' ' {
+		return r, fmt.Errorf("malformed line prefix %q", clip(line))
+	}
+	var sum uint32
+	if _, err := fmt.Sscanf(string(line[:8]), "%08x", &sum); err != nil {
+		return r, fmt.Errorf("malformed checksum %q: %w", clip(line[:8]), err)
+	}
+	payload := line[9:]
+	if got := crc32.ChecksumIEEE(payload); got != sum {
+		return r, fmt.Errorf("checksum mismatch: line says %08x, payload is %08x", sum, got)
 	}
 	if err := json.Unmarshal(payload, &r); err != nil {
 		return r, err

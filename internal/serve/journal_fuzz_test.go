@@ -14,7 +14,9 @@ import (
 //     not a misparse of garbage);
 //  3. parsing is prefix-stable: re-parsing the good prefix alone yields
 //     the same records, the same offset, and no error — the exact
-//     property torn-tail truncation at open relies on.
+//     property torn-tail truncation at open relies on;
+//  4. an unchecksummed line is never accepted: a segment whose first
+//     byte is '{' yields no records.
 func FuzzJournalRecord(f *testing.F) {
 	spec := ckptSpec(1)
 	res := JobResult{App: AppEM3D, Digest: "0123456789abcdef", Cycles: 12345, Validated: true}
@@ -37,7 +39,8 @@ func FuzzJournalRecord(f *testing.F) {
 	f.Add(seg)
 	f.Add(seg[:len(seg)-1]) // torn newline
 	f.Add(seg[:len(seg)/2]) // torn mid-record
-	f.Add([]byte("{}\n"))   // legacy unchecksummed
+	// Bare JSON lines carry no checksum, so they must be refused.
+	f.Add([]byte("{}\n"))
 	f.Add([]byte("{\"type\":\"done\",\"id\":\"j1\"}\n"))
 	flip := append([]byte(nil), seg...)
 	flip[len(flip)/3] ^= 0x40
@@ -49,6 +52,9 @@ func FuzzJournalRecord(f *testing.F) {
 		recs, off, _ := parseSegment(data)
 		if off < 0 || off > int64(len(data)) {
 			t.Fatalf("good-prefix offset %d out of bounds [0,%d]", off, len(data))
+		}
+		if len(data) > 0 && data[0] == '{' && len(recs) > 0 {
+			t.Fatalf("accepted %d records from an unchecksummed line", len(recs))
 		}
 		for i, r := range recs {
 			if _, err := encodeLine(r); err != nil {

@@ -108,18 +108,22 @@ func TestJournalTornTail(t *testing.T) {
 
 // TestJournalMidFileCorruption: a corrupt record that is NOT the final
 // line cannot be a torn append — refusing to open beats silently
-// dropping acknowledged jobs. The legacy (bare-path, unchecksummed)
-// format gets the same treatment.
+// dropping acknowledged jobs.
 func TestJournalMidFileCorruption(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "j.journal")
-	content := `{"type":"submitted","id":"j00000001"}` + "\n" +
-		`GARBAGE NOT JSON` + "\n" +
-		`{"type":"done","id":"j00000001"}` + "\n"
-	if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
+	sub, err := encodeLine(Record{Type: recSubmitted, ID: "j00000001"})
+	if err != nil {
 		t.Fatal(err)
 	}
-	_, _, err := OpenJournal(path)
-	if err == nil {
+	done, err := encodeLine(Record{Type: recDone, ID: "j00000001"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	content := append(append(sub, "GARBAGE NOT JSON\n"...), done...)
+	if err := os.WriteFile(path+".seg000001", content, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err = OpenJournal(path); err == nil {
 		t.Fatal("OpenJournal accepted mid-file corruption")
 	}
 	var host *HostError
@@ -312,39 +316,6 @@ func TestJournalCompaction(t *testing.T) {
 		if got, want := seen[fmtID(i)], fmt.Sprintf("d%07d", i); got != want {
 			t.Fatalf("done record for %s lost by compaction: digest %q, want %q", fmtID(i), got, want)
 		}
-	}
-}
-
-// TestJournalLegacyUpgrade: a pre-segment bare-path journal (plain
-// unchecksummed JSON lines) replays, and new appends land checksummed in
-// segment files without disturbing it.
-func TestJournalLegacyUpgrade(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "j.journal")
-	legacy := `{"type":"submitted","id":"j00000001"}` + "\n" +
-		`{"type":"done","id":"j00000001"}` + "\n"
-	if err := os.WriteFile(path, []byte(legacy), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	j, recs, err := OpenJournal(path)
-	if err != nil {
-		t.Fatalf("OpenJournal on legacy file: %v", err)
-	}
-	if len(recs) != 2 {
-		t.Fatalf("legacy replay got %d records, want 2", len(recs))
-	}
-	if err := j.Append(Record{Type: recSubmitted, ID: "j00000002"}); err != nil {
-		t.Fatal(err)
-	}
-	if err := j.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if data, err := os.ReadFile(path); err != nil || string(data) != legacy {
-		t.Fatalf("legacy file was modified: %q, %v", data, err)
-	}
-	j2, recs := openTestJournal(t, path)
-	defer j2.Close()
-	if len(recs) != 3 || recs[2].ID != "j00000002" {
-		t.Fatalf("combined legacy+segment replay: %+v", recs)
 	}
 }
 

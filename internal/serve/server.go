@@ -174,9 +174,10 @@ func NewServer(cfg Config) (*Server, error) {
 			if !ok || done[id] || aborted[id] {
 				continue
 			}
-			// Legacy pre-tenant records carry no tenant in the spec;
-			// Normalize maps them onto the default tenant, so replay
-			// competes in its queue like any other recovered work.
+			// A spec submitted without a tenant is journaled with an
+			// empty Spec.Tenant; Normalize maps it onto the default
+			// tenant, so replay competes in its queue like any other
+			// recovered work.
 			job := &Job{ID: r.ID, Key: Key(*r.Spec), Tenant: r.Spec.Normalize().Tenant,
 				Spec: *r.Spec, done: make(chan struct{})}
 			if _, dup := s.byKey[job.Key]; dup {

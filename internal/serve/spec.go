@@ -14,7 +14,8 @@ const (
 )
 
 // DefaultTenant is the tenant every unlabeled request — and every
-// legacy journal record written before tenants existed — belongs to.
+// journal record of one, whose spec carries an empty tenant — belongs
+// to.
 const DefaultTenant = "default"
 
 // FaultSpec is the job-facing subset of fault.Config: the transient and

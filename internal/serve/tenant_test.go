@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"os"
 	"path/filepath"
 	"strconv"
 	"strings"
@@ -512,8 +511,8 @@ func TestHTTPQuota429(t *testing.T) {
 
 // TestJournalTenantReplay: tenant identity survives the journal — a
 // tenant-tagged job killed mid-run replays under its tenant, and a
-// legacy pre-tenant record (no tenant field anywhere) replays as the
-// default tenant.
+// record with no tenant anywhere (a submit without X-T3D-Tenant)
+// replays as the default tenant.
 func TestJournalTenantReplay(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "tenant.journal")
@@ -543,30 +542,33 @@ func TestJournalTenantReplay(t *testing.T) {
 		t.Fatalf("Drain: %v", err)
 	}
 
-	// Legacy upgrade: a pre-tenant journal written by an older server —
-	// plain unchecksummed JSON lines, no tenant field — replays as the
-	// default tenant.
-	legacyPath := filepath.Join(dir, "legacy.journal")
-	legacySpec := quickSpec(62)
-	line, err := json.Marshal(Record{Type: recSubmitted, ID: "j00000001",
-		Key: KeyString(legacySpec), Spec: &legacySpec})
+	// A submit without a tenant is journaled, as Server.journalSubmitted
+	// writes it, with an empty Spec.Tenant; it replays as the default
+	// tenant.
+	barePath := filepath.Join(dir, "untenanted.journal")
+	bareSpec := quickSpec(62)
+	jr, _, err := OpenJournal(barePath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(legacyPath, append(line, '\n'), 0o644); err != nil {
+	if err := jr.Append(Record{Type: recSubmitted, ID: "j00000001",
+		Key: KeyString(bareSpec), Tenant: DefaultTenant, Spec: &bareSpec}); err != nil {
 		t.Fatal(err)
 	}
-	s3 := newTestServer(t, Config{JournalPath: legacyPath, Pool: PoolConfig{Workers: 1}})
+	if err := jr.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s3 := newTestServer(t, Config{JournalPath: barePath, Pool: PoolConfig{Workers: 1}})
 	j3, err := s3.Job("j00000001")
 	if err != nil {
-		t.Fatalf("legacy job not recovered: %v", err)
+		t.Fatalf("untenanted job not recovered: %v", err)
 	}
 	if j3.Tenant != DefaultTenant {
-		t.Errorf("legacy job tenant %q, want %q", j3.Tenant, DefaultTenant)
+		t.Errorf("untenanted job tenant %q, want %q", j3.Tenant, DefaultTenant)
 	}
 	awaitJob(t, j3)
 	if j3.State() != StateDone {
-		t.Fatalf("legacy job ended %v (%s)", j3.State(), j3.Err)
+		t.Fatalf("untenanted job ended %v (%s)", j3.State(), j3.Err)
 	}
 	if err := s3.Drain(30 * time.Second); err != nil {
 		t.Fatalf("Drain: %v", err)

@@ -377,8 +377,8 @@ func (e *Engine) RunErr() (Time, error) {
 func (e *Engine) Idle() bool { return len(e.events) == 0 }
 
 // Events reports how many events the engine has processed across all
-// runs: the host-side unit of simulation work (events per wall second
-// is the serving-capacity metric in BENCH_*.json).
+// runs: the host-side unit of simulation work (bench/ reports it as
+// sim.events_per_point, _per_edge and _per_run).
 func (e *Engine) Events() int64 { return e.processed }
 
 // Shutdown reaps every live proc goroutine of a stopped engine. A run

@@ -163,6 +163,10 @@ func TestStoreAllStoreSync(t *testing.T) {
 	// then all cross AllStoreSync; afterwards every PE sees its data.
 	rt := newRT(4)
 	var bad int
+	// §7.2 ablation: n signaling stores settled by one AllStoreSync
+	// pipeline, where n blocking writes each wait for their ack.
+	const n = 128
+	var writeCy, storeCy sim.Time
 	rt.Run(func(c *Ctx) {
 		slot := c.Alloc(8)
 		right := (c.MyPE() + 1) % c.NProc()
@@ -172,9 +176,34 @@ func TestStoreAllStoreSync(t *testing.T) {
 		if v := c.Node.CPU.Load64(c.P, slot); v != uint64(10+left) {
 			bad++
 		}
+
+		buf := c.Alloc(n * 8)
+		c.Barrier()
+		if c.MyPE() == 0 {
+			start := c.P.Now()
+			for i := int64(0); i < n; i++ {
+				c.Write(Global(1, buf+i*8), 1)
+			}
+			writeCy = c.P.Now() - start
+		}
+		c.Barrier()
+		start := c.P.Now()
+		if c.MyPE() == 0 {
+			for i := int64(0); i < n; i++ {
+				c.Store(Global(1, buf+i*8), 2)
+			}
+		}
+		c.AllStoreSync()
+		if c.MyPE() == 0 {
+			storeCy = c.P.Now() - start
+		}
 	})
 	if bad != 0 {
 		t.Errorf("%d PEs saw missing store data after AllStoreSync", bad)
+	}
+	if storeCy >= writeCy {
+		t.Errorf("stores + AllStoreSync cost %.1f cy/store, blocking writes %.1f cy/write: want stores cheaper",
+			float64(storeCy)/n, float64(writeCy)/n)
 	}
 }
 
@@ -243,6 +272,16 @@ func TestReadCachedFlushesForCoherence(t *testing.T) {
 		// the raw cached mechanism.
 		if v := c.ReadCached(g); v != 2 {
 			t.Errorf("cached read after owner update = %d, want 2", v)
+		}
+		// §4.4 ablation: the line fill plus the mandatory flush make the
+		// cached read dearer than the uncached one the runtime ships.
+		start := c.P.Now()
+		c.ReadCached(g)
+		cached := c.P.Now() - start
+		start = c.P.Now()
+		c.Read(g)
+		if uncached := c.P.Now() - start; cached <= uncached {
+			t.Errorf("ReadCached took %d cy, Read %d cy: want the cached read dearer", cached, uncached)
 		}
 	})
 }
