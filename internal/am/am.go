@@ -425,7 +425,7 @@ func (ep *Endpoint) Send(dst, id int, args [4]uint64) {
 	}
 	// Header written last: separate line, drains after the data.
 	c.Put(base.AddLocal(32), headerWord(c.MyPE(), id))
-	//lint:allow hotalloc Sync's drain formats only through the prefetch-pop tracer; a zero-cost disarmed Trace is the ROADMAP item-1 follow-up
+	//lint:allow hotalloc Sync's drain formats only through the prefetch-pop tracer; a zero-cost disarmed Trace is ROADMAP item 5(b) (typed trace)
 	c.Sync()
 }
 

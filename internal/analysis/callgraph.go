@@ -278,13 +278,12 @@ func (b *graphBuilder) enclosing(root *FuncNode, pos token.Pos) *FuncNode {
 }
 
 // spawnAllNames are methods that replicate a proc body across every PE
-// (splitc Runtime.Run/RunErr, machine T3D.Run/RunErr,
-// Recovery.Run/RunRecoverable); spawnOneNames start a single proc. The
-// distinction feeds sharedstate's root weighting: one literal handed to
-// Run is already "more than one proc body" for anything it captures.
-// Engine.Run/RunErr take no function argument, so listing the names is
-// harmless there.
-var spawnAllNames = map[string]bool{"Run": true, "RunErr": true, "RunRecoverable": true}
+// (splitc Runtime.Run/RunErr, machine T3D.Run/RunErr, Recovery.Run);
+// spawnOneNames start a single proc. The distinction feeds
+// sharedstate's root weighting: one literal handed to Run is already
+// "more than one proc body" for anything it captures. Engine.Run/RunErr
+// take no function argument, so listing the names is harmless there.
+var spawnAllNames = map[string]bool{"Run": true, "RunErr": true}
 var spawnOneNames = map[string]bool{"RunOn": true, "Spawn": true, "SpawnDaemon": true}
 
 // collectFlows walks one declaration (literals included — flow facts

@@ -2,8 +2,8 @@
 //
 // The benchmark (bench/) measures allocs/op on the hot paths — the
 // sim.at_pop_*, splitc.*, am.send_poll_* and shell.fetch_inc_* rungs
-// and the per-workload host.allocs_per_* — and the ROADMAP item-1
-// target (10× events/sec) dies by a thousand heap cuts: one escaping
+// and the per-workload host.allocs_per_* — and the event-kernel cost
+// work (ROADMAP item 4) dies by a thousand heap cuts: one escaping
 // composite per event, one interface box per trace call, one closure
 // per wait. A function on such a path carries a //t3d:hotpath
 // annotation in its doc comment, and this pass enforces the contract
@@ -246,7 +246,7 @@ func (h *hotPass) calleeAllocs(n *analysis.FuncNode, e *analysis.Edge) []site {
 func (h *hotPass) report(n *analysis.FuncNode) {
 	for _, s := range h.intrinsics(n) {
 		h.mp.ReportClassf(s.pos, s.class,
-			"%s in //t3d:hotpath function %s — hot paths must be allocation-free (bench allocs/op gate, ROADMAP item 1); hoist it, pool it, or argue the case in a //lint:allow", s.what, n.Name)
+			"%s in //t3d:hotpath function %s — hot paths must be allocation-free (bench allocs/op gate, ROADMAP item 4); hoist it, pool it, or argue the case in a //lint:allow", s.what, n.Name)
 	}
 	seen := map[*ast.CallExpr]bool{}
 	for _, e := range n.Out {

@@ -1,10 +1,10 @@
 // Package sharedstate inventories the mutable state visible to more
 // than one simulated proc — the machine-checked prerequisite for the
-// ROADMAP item-2 parallel-DES refactor. Under the sequential kernel,
-// cross-proc shared state is deterministic because only one proc runs
-// at a time; under a sharded event heap it becomes a data race. This
-// pass finds every such variable now, so new sharing cannot sneak in
-// between the inventory and the parallel kernel.
+// parallel-DES refactor (a parked ROADMAP item). Under the sequential
+// kernel, cross-proc shared state is deterministic because only one
+// proc runs at a time; under a sharded event heap it becomes a data
+// race. This pass finds every such variable now, so new sharing cannot
+// sneak in between the inventory and the parallel kernel.
 //
 // A variable is in scope when it is package-level and mutable (written
 // somewhere in the module), or a function-local captured by a function
@@ -248,7 +248,7 @@ func judge(mp *analysis.ModulePass, vi *varInfo, roots []procRoot, reachedBy map
 			"%s %s is written from %d procs through PE-private slots or a PE-identity guard — shared-guarded; the parallel-DES refactor must preserve the slotting, or argue the case in a //lint:allow", kind, vi.v.Name(), weight)
 	default:
 		mp.ReportClassf(vi.v.Pos(), "shared-mutable",
-			"%s %s is mutated from %d procs with no mediating signal/channel and no PE slotting — shared-mutable; this is a data race under the parallel-DES kernel (ROADMAP item 2): restructure, mediate, or argue the case in a //lint:allow", kind, vi.v.Name(), weight)
+			"%s %s is mutated from %d procs with no mediating signal/channel and no PE slotting — shared-mutable; this is a data race under the parked parallel-DES kernel (ROADMAP): restructure, mediate, or argue the case in a //lint:allow", kind, vi.v.Name(), weight)
 	}
 }
 

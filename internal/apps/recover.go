@@ -56,7 +56,7 @@ func SampleSortRecoverable(rt *splitc.Runtime, rcfg splitc.RecoveryConfig, in *f
 	if in != nil {
 		in.OnNodeCrash = rec.CrashNode
 	}
-	end, stats, err := rec.Run(func(c *splitc.Ctx, r *splitc.Recovery) splitc.EpochFunc {
+	end, stats, err := rec.Run(func(c *splitc.Ctx) splitc.EpochFunc {
 		me := c.MyPE()
 		n := int64(len(keys[me]))
 		co := c.AllocCollectives(int64(nproc))

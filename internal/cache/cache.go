@@ -44,8 +44,8 @@ type Cache struct {
 	// Stats for probes and tests. ParityFlips counts bit flips injected
 	// into resident lines (fault injection); ParityHits counts lookups
 	// that found the resident line's parity bad.
-	Hits, Misses             int64
-	ParityFlips, ParityHits  int64
+	Hits, Misses            int64
+	ParityFlips, ParityHits int64
 }
 
 type line struct {

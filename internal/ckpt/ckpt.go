@@ -1,9 +1,10 @@
 // Package ckpt is the durable checkpoint layer: it serializes the
 // barrier-aligned machine snapshots splitc.Recovery already takes in
-// memory into versioned, checksummed files, published atomically
-// through the hostfs VFS so every host-disk failure mode the journal is
-// hardened against (EIO, ENOSPC, short/torn writes, crash mid-rename)
-// applies to checkpoints too.
+// memory (splitc.MachineSnapshot, tagged with the owning job) into
+// versioned, checksummed files, published atomically through the
+// hostfs VFS so every host-disk failure mode the journal is hardened
+// against (EIO, ENOSPC, short/torn writes, crash mid-rename) applies to
+// checkpoints too.
 //
 // On-disk format, one file per committed checkpoint:
 //
@@ -13,12 +14,14 @@
 // The header carries the job identity, the epoch the image resumes at,
 // the cumulative simulated cycles the image accounts for, the per-PE
 // shell registers and runtime heap cursors, and a CRC32 of the payload.
-// The header line is self-checking (its own CRC) and the payload is
-// checked against the header's PayloadCRC, so a torn or bit-flipped
-// file is a detected refusal, never a silently wrong resume. On top of
-// both CRCs, the journal's checkpointed record stores an FNV-1a digest
-// of the whole file, binding journal entry to file content: a file that
-// was swapped, truncated, or regenerated does not match its record.
+// It is the codec's private form of the snapshot: only Encode and
+// Decode see it. The header line is self-checking (its own CRC) and the
+// payload is checked against the header's PayloadCRC, so a torn or
+// bit-flipped file is a detected refusal, never a silently wrong
+// resume. On top of both CRCs, the journal's checkpointed record stores
+// an FNV-1a digest of the whole file, binding journal entry to file
+// content: a file that was swapped, truncated, or regenerated does not
+// match its record.
 //
 // Publication is tmp + write + fsync + rename: a crash leaves either
 // the previous checkpoint set plus a garbage .tmp (swept at startup) or
@@ -41,6 +44,8 @@ import (
 	"time"
 
 	"repro/internal/hostfs"
+	"repro/internal/shell"
+	"repro/internal/splitc"
 )
 
 // Version is the checkpoint format version, baked into the magic token
@@ -56,10 +61,11 @@ const (
 	maxMemLen = 1 << 31
 )
 
-// Meta is the checkpoint header. JSON tags keep the on-disk form
-// explicit and stable; the struct is small (per-PE registers and heap
-// cursors), the bulk payload lives outside the JSON.
-type Meta struct {
+// header is the on-disk form of a Snapshot. JSON tags and field order
+// are the format: they fix the header bytes, and with them every file
+// digest the journal has recorded. The bulk payload lives outside the
+// JSON.
+type header struct {
 	Version    int         `json:"v"`
 	JobID      string      `json:"job_id"`
 	Epoch      int         `json:"epoch"`  // epoch a resume of this image starts at
@@ -71,38 +77,42 @@ type Meta struct {
 	PayloadCRC uint32      `json:"payload_crc"`
 }
 
-// Snapshot is one decoded checkpoint: the header plus the per-PE DRAM
-// images. Decode returns Mem as views into the input buffer; callers
-// that outlive the buffer must copy.
+// Snapshot is one checkpoint file's content: the owning job and the
+// machine snapshot. Decode returns Mem as views into the input buffer;
+// callers that outlive the buffer must copy.
 type Snapshot struct {
-	Meta
-	Mem [][]byte
+	JobID string
+	splitc.MachineSnapshot
 }
 
-// Encode renders a snapshot to its on-disk bytes. The caller's Meta
-// Version and PayloadCRC are overwritten with the computed values.
+// Encode renders a snapshot to its on-disk bytes.
 func Encode(s *Snapshot) ([]byte, error) {
-	if len(s.Mem) != s.PEs || len(s.Heap) != s.PEs || len(s.Regs) != s.PEs {
-		return nil, fmt.Errorf("ckpt: encode: %d PEs but %d mem/%d heap/%d regs",
-			s.PEs, len(s.Mem), len(s.Heap), len(s.Regs))
+	pes := len(s.Mem)
+	if pes < 1 || len(s.Heap) != pes || len(s.Regs) != pes {
+		return nil, fmt.Errorf("ckpt: encode: %d mem/%d heap/%d regs entries",
+			pes, len(s.Heap), len(s.Regs))
+	}
+	h := header{
+		Version: Version, JobID: s.JobID, Epoch: s.Epoch, Cycles: s.Cycles,
+		PEs: pes, MemLen: int64(len(s.Mem[0])), Heap: s.Heap,
+		Regs: make([][3]uint64, pes),
+	}
+	for pe, r := range s.Regs {
+		h.Regs[pe] = [3]uint64{r.FI[0], r.FI[1], r.Swap}
 	}
 	crc := crc32.NewIEEE()
-	var payload int64
 	for pe, m := range s.Mem {
-		if int64(len(m)) != s.MemLen {
-			return nil, fmt.Errorf("ckpt: encode: pe%d image %d bytes, mem_len %d", pe, len(m), s.MemLen)
+		if int64(len(m)) != h.MemLen {
+			return nil, fmt.Errorf("ckpt: encode: pe%d image %d bytes, mem_len %d", pe, len(m), h.MemLen)
 		}
 		crc.Write(m)
-		payload += int64(len(m))
 	}
-	meta := s.Meta
-	meta.Version = Version
-	meta.PayloadCRC = crc.Sum32()
-	hdr, err := json.Marshal(meta)
+	h.PayloadCRC = crc.Sum32()
+	hdr, err := json.Marshal(h)
 	if err != nil {
 		return nil, fmt.Errorf("ckpt: encode header: %w", err)
 	}
-	buf := make([]byte, 0, len(hdr)+int(payload)+24)
+	buf := make([]byte, 0, len(hdr)+pes*int(h.MemLen)+24)
 	buf = fmt.Appendf(buf, "%s%d %08x ", magic, Version, crc32.ChecksumIEEE(hdr))
 	buf = append(buf, hdr...)
 	buf = append(buf, '\n')
@@ -112,76 +122,82 @@ func Encode(s *Snapshot) ([]byte, error) {
 	return buf, nil
 }
 
-// ParseHeader validates and decodes the header line, returning the
-// metadata and the byte offset where the payload begins. Every refusal
+// parseHeader validates and decodes the header line, returning the
+// header and the byte offset where the payload begins. Every refusal
 // is explicit: a resume path must never act on a header it cannot
 // prove whole.
-func ParseHeader(data []byte) (Meta, int, error) {
-	var m Meta
+func parseHeader(data []byte) (header, int, error) {
+	var h header
 	nl := bytes.IndexByte(data, '\n')
 	if nl < 0 {
-		return m, 0, fmt.Errorf("ckpt: header: no newline (torn or not a checkpoint)")
+		return h, 0, fmt.Errorf("ckpt: header: no newline (torn or not a checkpoint)")
 	}
 	line := data[:nl]
 	tok := bytes.SplitN(line, []byte(" "), 3)
 	if len(tok) != 3 {
-		return m, 0, fmt.Errorf("ckpt: header: want 3 fields, got %d", len(tok))
+		return h, 0, fmt.Errorf("ckpt: header: want 3 fields, got %d", len(tok))
 	}
 	if !bytes.HasPrefix(tok[0], []byte(magic)) {
-		return m, 0, fmt.Errorf("ckpt: header: bad magic %q", clip(tok[0]))
+		return h, 0, fmt.Errorf("ckpt: header: bad magic %q", clip(tok[0]))
 	}
 	if string(tok[0]) != fmt.Sprintf("%s%d", magic, Version) {
-		return m, 0, fmt.Errorf("ckpt: header: unsupported version token %q (want %s%d)", clip(tok[0]), magic, Version)
+		return h, 0, fmt.Errorf("ckpt: header: unsupported version token %q (want %s%d)", clip(tok[0]), magic, Version)
 	}
 	if len(tok[1]) != 8 {
-		return m, 0, fmt.Errorf("ckpt: header: malformed checksum %q", clip(tok[1]))
+		return h, 0, fmt.Errorf("ckpt: header: malformed checksum %q", clip(tok[1]))
 	}
 	var sum uint32
 	if _, err := fmt.Sscanf(string(tok[1]), "%08x", &sum); err != nil {
-		return m, 0, fmt.Errorf("ckpt: header: malformed checksum %q: %w", clip(tok[1]), err)
+		return h, 0, fmt.Errorf("ckpt: header: malformed checksum %q: %w", clip(tok[1]), err)
 	}
 	if got := crc32.ChecksumIEEE(tok[2]); got != sum {
-		return m, 0, fmt.Errorf("ckpt: header: checksum mismatch (header says %08x, payload is %08x)", sum, got)
+		return h, 0, fmt.Errorf("ckpt: header: checksum mismatch (header says %08x, payload is %08x)", sum, got)
 	}
-	if err := json.Unmarshal(tok[2], &m); err != nil {
-		return m, 0, fmt.Errorf("ckpt: header: %w", err)
+	if err := json.Unmarshal(tok[2], &h); err != nil {
+		return h, 0, fmt.Errorf("ckpt: header: %w", err)
 	}
-	if m.Version != Version {
-		return m, 0, fmt.Errorf("ckpt: header: version %d inside a %s%d file", m.Version, magic, Version)
+	if h.Version != Version {
+		return h, 0, fmt.Errorf("ckpt: header: version %d inside a %s%d file", h.Version, magic, Version)
 	}
-	if m.PEs < 1 || m.PEs > maxPEs {
-		return m, 0, fmt.Errorf("ckpt: header: pes %d out of range [1,%d]", m.PEs, maxPEs)
+	if h.PEs < 1 || h.PEs > maxPEs {
+		return h, 0, fmt.Errorf("ckpt: header: pes %d out of range [1,%d]", h.PEs, maxPEs)
 	}
-	if m.MemLen < 0 || m.MemLen > maxMemLen {
-		return m, 0, fmt.Errorf("ckpt: header: mem_len %d out of range [0,%d]", m.MemLen, maxMemLen)
+	if h.MemLen < 0 || h.MemLen > maxMemLen {
+		return h, 0, fmt.Errorf("ckpt: header: mem_len %d out of range [0,%d]", h.MemLen, maxMemLen)
 	}
-	if len(m.Heap) != m.PEs || len(m.Regs) != m.PEs {
-		return m, 0, fmt.Errorf("ckpt: header: %d PEs but %d heap/%d regs entries", m.PEs, len(m.Heap), len(m.Regs))
+	if len(h.Heap) != h.PEs || len(h.Regs) != h.PEs {
+		return h, 0, fmt.Errorf("ckpt: header: %d PEs but %d heap/%d regs entries", h.PEs, len(h.Heap), len(h.Regs))
 	}
-	if m.Epoch < 0 {
-		return m, 0, fmt.Errorf("ckpt: header: negative epoch %d", m.Epoch)
+	if h.Epoch < 0 {
+		return h, 0, fmt.Errorf("ckpt: header: negative epoch %d", h.Epoch)
 	}
-	return m, nl + 1, nil
+	return h, nl + 1, nil
 }
 
 // Decode parses a whole checkpoint file: header, size, and payload CRC
 // all validated. Mem entries are views into data.
 func Decode(data []byte) (*Snapshot, error) {
-	meta, off, err := ParseHeader(data)
+	h, off, err := parseHeader(data)
 	if err != nil {
 		return nil, err
 	}
-	need := int64(meta.PEs) * meta.MemLen
+	need := int64(h.PEs) * h.MemLen
 	if got := int64(len(data) - off); got != need {
 		return nil, fmt.Errorf("ckpt: payload: %d bytes, header promises %d (torn or padded file)", got, need)
 	}
-	if got := crc32.ChecksumIEEE(data[off:]); got != meta.PayloadCRC {
-		return nil, fmt.Errorf("ckpt: payload: checksum mismatch (header says %08x, payload is %08x)", meta.PayloadCRC, got)
+	if got := crc32.ChecksumIEEE(data[off:]); got != h.PayloadCRC {
+		return nil, fmt.Errorf("ckpt: payload: checksum mismatch (header says %08x, payload is %08x)", h.PayloadCRC, got)
 	}
-	s := &Snapshot{Meta: meta, Mem: make([][]byte, meta.PEs)}
+	s := &Snapshot{JobID: h.JobID, MachineSnapshot: splitc.MachineSnapshot{
+		Epoch: h.Epoch, Cycles: h.Cycles, Heap: h.Heap,
+		Mem:  make([][]byte, h.PEs),
+		Regs: make([]shell.RegSnapshot, h.PEs),
+	}}
 	for pe := range s.Mem {
-		lo := off + pe*int(meta.MemLen)
-		s.Mem[pe] = data[lo : lo+int(meta.MemLen)]
+		lo := off + pe*int(h.MemLen)
+		s.Mem[pe] = data[lo : lo+int(h.MemLen)]
+		r := h.Regs[pe]
+		s.Regs[pe] = shell.RegSnapshot{FI: [2]uint64{r[0], r[1]}, Swap: r[2]}
 	}
 	return s, nil
 }

@@ -7,17 +7,18 @@ import (
 	"testing"
 
 	"repro/internal/hostfs"
+	"repro/internal/shell"
+	"repro/internal/splitc"
 )
 
 func testSnap(jobID string, epoch int, pes int, memLen int64, fill byte) *Snapshot {
-	s := &Snapshot{Meta: Meta{
-		JobID: jobID, Epoch: epoch, Cycles: int64(epoch) * 1000,
-		PEs: pes, MemLen: memLen,
-		Heap: make([]int64, pes), Regs: make([][3]uint64, pes),
+	s := &Snapshot{JobID: jobID, MachineSnapshot: splitc.MachineSnapshot{
+		Epoch: epoch, Cycles: int64(epoch) * 1000,
+		Heap: make([]int64, pes), Regs: make([]shell.RegSnapshot, pes),
 	}}
 	for pe := 0; pe < pes; pe++ {
 		s.Heap[pe] = int64(65536 + pe)
-		s.Regs[pe] = [3]uint64{uint64(pe), uint64(epoch), 7}
+		s.Regs[pe] = shell.RegSnapshot{FI: [2]uint64{uint64(pe), uint64(epoch)}, Swap: 7}
 		m := make([]byte, memLen)
 		for i := range m {
 			m[i] = fill ^ byte(i) ^ byte(pe)
@@ -25,6 +26,45 @@ func testSnap(jobID string, epoch int, pes int, memLen int64, fill byte) *Snapsh
 		s.Mem = append(s.Mem, m)
 	}
 	return s
+}
+
+// TestEncodeGolden pins the T3DCKPT1 bytes: one fixed snapshot must
+// encode to the exact file every T3DCKPT1 writer produces for these
+// field values. Round-trip and fuzz tests accept any self-consistent
+// encoding; this one notices a reordered header field or a changed
+// register encoding, either of which would orphan every checkpoint the
+// journal already vouches for.
+func TestEncodeGolden(t *testing.T) {
+	const (
+		wantHeader = `T3DCKPT1 9af14943 {"v":1,"job_id":"j00000042","epoch":7,"cycles":123456789,"pes":2,"mem_len":64,` +
+			`"heap":[65536,65600],"regs":[[4369,8738,13107],[3735928559,0,18446744073709551615]],"payload_crc":1626393666}`
+		wantDigest = "eae244fb5c0bf6f4"
+	)
+	s := &Snapshot{JobID: "j00000042", MachineSnapshot: splitc.MachineSnapshot{
+		Epoch: 7, Cycles: 123456789,
+		Heap: []int64{65536, 65600},
+		Regs: []shell.RegSnapshot{
+			{FI: [2]uint64{0x1111, 0x2222}, Swap: 0x3333},
+			{FI: [2]uint64{0xdeadbeef, 0}, Swap: 0xffffffffffffffff},
+		},
+	}}
+	for pe := 0; pe < 2; pe++ {
+		m := make([]byte, 64)
+		for i := range m {
+			m[i] = byte(i*7 + pe*31)
+		}
+		s.Mem = append(s.Mem, m)
+	}
+	data, err := Encode(s)
+	if err != nil {
+		t.Fatalf("encode: %v", err)
+	}
+	if got, _, _ := strings.Cut(string(data), "\n"); got != wantHeader {
+		t.Errorf("header line:\n got %s\nwant %s", got, wantHeader)
+	}
+	if got := Digest(data); got != wantDigest {
+		t.Errorf("file digest %s, want %s", got, wantDigest)
+	}
 }
 
 func TestEncodeDecodeRoundTrip(t *testing.T) {
@@ -37,9 +77,9 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
-	if got.JobID != s.JobID || got.Epoch != s.Epoch || got.Cycles != s.Cycles ||
-		got.PEs != s.PEs || got.MemLen != s.MemLen {
-		t.Fatalf("meta mismatch: got %+v want %+v", got.Meta, s.Meta)
+	if got.JobID != s.JobID || got.Epoch != s.Epoch || got.Cycles != s.Cycles || len(got.Mem) != len(s.Mem) {
+		t.Fatalf("snapshot mismatch: got %s epoch %d cycles %d, %d PEs; want %s epoch %d cycles %d, %d PEs",
+			got.JobID, got.Epoch, got.Cycles, len(got.Mem), s.JobID, s.Epoch, s.Cycles, len(s.Mem))
 	}
 	for pe := range s.Mem {
 		if string(got.Mem[pe]) != string(s.Mem[pe]) {
@@ -70,7 +110,7 @@ func TestDecodeDetectsBitFlips(t *testing.T) {
 		if got, err := Decode(mut); err == nil {
 			// The only tolerable "success" would be bit-identical state,
 			// which a flipped byte cannot give under CRC32 here.
-			t.Fatalf("flip at byte %d decoded cleanly: %+v", i, got.Meta)
+			t.Fatalf("flip at byte %d decoded cleanly: %s epoch %d", i, got.JobID, got.Epoch)
 		}
 	}
 	for _, cut := range []int{0, 1, len(data) / 2, len(data) - 1} {

@@ -301,7 +301,7 @@ func (c *CPU) store(p *sim.Proc, va int64, v uint64, size int) {
 		p.Wait(pen)
 	}
 	p.Wait(c.Costs.StoreIssue)
-	//lint:allow hotalloc per-store staging copy retained by the write buffer until drain; buffer pooling is the ROADMAP item-1 follow-up
+	//lint:allow hotalloc per-store staging copy retained by the write buffer until drain; buffer pooling is ROADMAP item 4 (event-kernel costs)
 	data := make([]byte, size)
 	putWord(data, v)
 	// Write-through: update a resident line (local or cached-remote).

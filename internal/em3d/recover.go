@@ -13,23 +13,16 @@ import (
 // previously exported checkpoint. The zero value is a plain
 // recoverable run.
 type RecoverOpts struct {
+	// Recovery configures the coordinator. Its Sink observes each
+	// committed mid-run checkpoint; its Resume, if non-nil, starts the
+	// run at the snapshot's epoch instead of epoch 0, with a
+	// bit-identical result, and Result.Cycles then includes the
+	// Resume.Cycles the snapshot already accounts for — the accounting
+	// the serve cache and tenant budgets charge.
 	Recovery splitc.RecoveryConfig
 	// Injector, if non-nil, has its node-crash handler wired to the
 	// recovery layer (the extG hard-fault path).
 	Injector *fault.Injector
-	// Resume, if non-nil, starts the run at the snapshot's epoch instead
-	// of epoch 0. The machine must match the snapshot's shape; the
-	// result is bit-identical to an uninterrupted run of the same spec.
-	Resume *splitc.MachineSnapshot
-	// BaseCycles is the simulated time the Resume snapshot already
-	// accounts for; it is added to the engine's elapsed time so
-	// Result.Cycles reports the whole logical run, not just the tail —
-	// the accounting the serve cache and tenant budgets charge.
-	BaseCycles sim.Time
-	// Sink, if non-nil, observes each committed mid-run checkpoint with
-	// its cumulative cycle count (BaseCycles + simulated now). Snapshot
-	// buffers are borrowed — copy before returning to persist async.
-	Sink func(snap *splitc.MachineSnapshot, cum sim.Time)
 	// Progress, if non-nil, is called on PE 0 after each epoch with the
 	// epoch just finished and the cumulative cycles.
 	Progress func(epoch int, cum sim.Time)
@@ -65,7 +58,6 @@ func RunRecoverable(m *machine.T3D, cfg Config, v Version, knobs Knobs, rcfg spl
 func RunRecoverableOpts(m *machine.T3D, cfg Config, v Version, knobs Knobs, opts RecoverOpts) (Result, splitc.RecoveryStats, error) {
 	nproc := len(m.Nodes)
 	g := buildGraph(nproc, cfg)
-	rcfg := opts.Recovery
 	rtCfg := splitc.DefaultConfig()
 	rtCfg.Reliable = cfg.Reliable
 	rtCfg.Audit = cfg.Audit
@@ -78,34 +70,28 @@ func RunRecoverableOpts(m *machine.T3D, cfg Config, v Version, knobs Knobs, opts
 	// deterministic construction.
 	seed(g, m, lay)
 
-	if opts.Sink != nil {
-		base := opts.BaseCycles
-		inner := opts.Sink
-		rcfg.Sink = func(ms *splitc.MachineSnapshot) { inner(ms, base+ms.Now) }
+	var base sim.Time
+	if opts.Recovery.Resume != nil {
+		base = opts.Recovery.Resume.Cycles
 	}
-	rec := splitc.NewRecovery(rt, rcfg)
-	if opts.Resume != nil {
-		if err := rec.ResumeFrom(opts.Resume); err != nil {
-			return Result{Version: v, Cfg: cfg, NProc: nproc}, splitc.RecoveryStats{}, err
-		}
-	}
+	rec := splitc.NewRecovery(rt, opts.Recovery)
 	if opts.Injector != nil {
 		opts.Injector.OnNodeCrash = rec.CrashNode
 	}
-	end, stats, err := rec.Run(func(c *splitc.Ctx, r *splitc.Recovery) splitc.EpochFunc {
+	end, stats, err := rec.Run(func(c *splitc.Ctx) splitc.EpochFunc {
 		pe := c.MyPE()
 		return func(epoch int) bool {
 			exchange(c, g, lay, pe, v)
 			compute(c, g, lay, pe, v, knobs)
 			c.Barrier()
 			if pe == 0 && opts.Progress != nil {
-				opts.Progress(epoch, opts.BaseCycles+c.P.Now())
+				opts.Progress(epoch, base+c.P.Now())
 			}
 			return epoch < cfg.Iters // epoch 0 is the warm-up step
 		}
 	})
 
-	total := opts.BaseCycles + end
+	total := base + end
 	edges := g.edgeCount()
 	res := Result{
 		Version:    v,

@@ -1,9 +1,11 @@
 package em3d
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/fault"
+	"repro/internal/machine"
 	"repro/internal/shell"
 	"repro/internal/sim"
 	"repro/internal/splitc"
@@ -121,16 +123,14 @@ func TestRecoverableCombinedHardFaults(t *testing.T) {
 // copySnap deep-copies a sink-borrowed MachineSnapshot (its buffers are
 // only valid for the duration of the Sink call).
 func copySnap(ms *splitc.MachineSnapshot) *splitc.MachineSnapshot {
-	cp := &splitc.MachineSnapshot{
-		Epoch: ms.Epoch, Now: ms.Now,
-		Mem:  make([][]byte, len(ms.Mem)),
-		Regs: append([]shell.RegSnapshot(nil), ms.Regs...),
-		Heap: append([]int64(nil), ms.Heap...),
-	}
+	cp := *ms
+	cp.Mem = make([][]byte, len(ms.Mem))
+	cp.Regs = append([]shell.RegSnapshot(nil), ms.Regs...)
+	cp.Heap = append([]int64(nil), ms.Heap...)
 	for pe := range ms.Mem {
 		cp.Mem[pe] = append([]byte(nil), ms.Mem[pe]...)
 	}
-	return cp
+	return &cp
 }
 
 // The tentpole identity: a run killed at any checkpoint and resumed on
@@ -138,15 +138,11 @@ func copySnap(ms *splitc.MachineSnapshot) *splitc.MachineSnapshot {
 func TestResumeFromCheckpointBitIdentical(t *testing.T) {
 	cfg := smallCfg(0.4)
 	cfg.Reliable = true
-	type taken struct {
-		snap *splitc.MachineSnapshot
-		cum  sim.Time
-	}
-	var caps []taken
+	var caps []*splitc.MachineSnapshot
 	clean, _, err := RunRecoverableOpts(NewMachine(4), cfg, Put, DefaultKnobs(), RecoverOpts{
-		Sink: func(ms *splitc.MachineSnapshot, cum sim.Time) {
-			caps = append(caps, taken{copySnap(ms), cum})
-		},
+		Recovery: splitc.RecoveryConfig{Sink: func(ms *splitc.MachineSnapshot) {
+			caps = append(caps, copySnap(ms))
+		}},
 	})
 	if err != nil {
 		t.Fatalf("clean run: %v", err)
@@ -160,10 +156,10 @@ func TestResumeFromCheckpointBitIdentical(t *testing.T) {
 		t.Fatalf("only %d checkpoints reached the sink for %d iters", len(caps), cfg.Iters)
 	}
 	for _, cp := range caps {
+		pristine := copySnap(cp)
 		var firstEpoch = -1
 		res, stats, err := RunRecoverableOpts(NewMachine(4), cfg, Put, DefaultKnobs(), RecoverOpts{
-			Resume:     cp.snap,
-			BaseCycles: cp.cum,
+			Recovery: splitc.RecoveryConfig{Resume: cp},
 			Progress: func(epoch int, _ sim.Time) {
 				if firstEpoch < 0 {
 					firstEpoch = epoch
@@ -171,25 +167,28 @@ func TestResumeFromCheckpointBitIdentical(t *testing.T) {
 			},
 		})
 		if err != nil {
-			t.Fatalf("resume from epoch %d: %v", cp.snap.Epoch, err)
+			t.Fatalf("resume from epoch %d: %v", cp.Epoch, err)
 		}
 		if !res.Validated {
-			t.Fatalf("resume from epoch %d does not validate", cp.snap.Epoch)
+			t.Fatalf("resume from epoch %d does not validate", cp.Epoch)
 		}
 		if res.Digest != clean.Digest {
 			t.Fatalf("resume from epoch %d: digest %#x differs from uninterrupted %#x",
-				cp.snap.Epoch, res.Digest, clean.Digest)
+				cp.Epoch, res.Digest, clean.Digest)
 		}
-		if firstEpoch != cp.snap.Epoch {
+		if firstEpoch != cp.Epoch {
 			t.Fatalf("resume from epoch %d started at epoch %d: earlier epochs were replayed",
-				cp.snap.Epoch, firstEpoch)
+				cp.Epoch, firstEpoch)
 		}
-		if res.Cycles <= cp.cum {
+		if res.Cycles <= cp.Cycles {
 			t.Fatalf("resume from epoch %d: cycles %d do not include the %d-cycle base",
-				cp.snap.Epoch, res.Cycles, cp.cum)
+				cp.Epoch, res.Cycles, cp.Cycles)
 		}
 		if stats.Rollbacks != 0 {
 			t.Fatalf("clean resume rolled back %d times", stats.Rollbacks)
+		}
+		if !reflect.DeepEqual(cp, pristine) {
+			t.Fatalf("resume from epoch %d wrote into the caller's snapshot", cp.Epoch)
 		}
 	}
 }
@@ -204,13 +203,12 @@ func TestResumeSurvivesFurtherCrash(t *testing.T) {
 		t.Fatalf("clean run: %v", err)
 	}
 	var mid *splitc.MachineSnapshot
-	var midCum sim.Time
 	_, _, err = RunRecoverableOpts(NewMachine(4), cfg, Put, DefaultKnobs(), RecoverOpts{
-		Sink: func(ms *splitc.MachineSnapshot, cum sim.Time) {
+		Recovery: splitc.RecoveryConfig{Sink: func(ms *splitc.MachineSnapshot) {
 			if mid == nil && ms.Epoch >= 1 {
-				mid, midCum = copySnap(ms), cum
+				mid = copySnap(ms)
 			}
-		},
+		}},
 	})
 	if err != nil || mid == nil {
 		t.Fatalf("no mid-run checkpoint captured (err %v)", err)
@@ -218,7 +216,7 @@ func TestResumeSurvivesFurtherCrash(t *testing.T) {
 	m := NewMachine(4)
 	in := fault.Inject(m, fault.Config{Seed: 5, HardNodeFaults: 1, Horizon: 25000})
 	res, stats, err := RunRecoverableOpts(m, cfg, Put, DefaultKnobs(), RecoverOpts{
-		Resume: mid, BaseCycles: midCum, Injector: in,
+		Recovery: splitc.RecoveryConfig{Resume: mid}, Injector: in,
 	})
 	if err != nil {
 		t.Fatalf("resumed run with crash: %v", err)
@@ -235,26 +233,42 @@ func TestResumeFromRejectsWrongShape(t *testing.T) {
 	cfg := smallCfg(0.4)
 	var cp *splitc.MachineSnapshot
 	_, _, err := RunRecoverableOpts(NewMachine(4), cfg, Put, DefaultKnobs(), RecoverOpts{
-		Sink: func(ms *splitc.MachineSnapshot, _ sim.Time) {
+		Recovery: splitc.RecoveryConfig{Sink: func(ms *splitc.MachineSnapshot) {
 			if cp == nil {
 				cp = copySnap(ms)
 			}
-		},
+		}},
 	})
 	if err != nil || cp == nil {
 		t.Fatalf("no checkpoint captured (err %v)", err)
 	}
-	// Wrong PE count: an 8-PE machine cannot adopt a 4-PE image.
-	if _, _, err := RunRecoverableOpts(NewMachine(8), cfg, Put, DefaultKnobs(), RecoverOpts{Resume: cp}); err == nil {
-		t.Fatal("resume of a 4-PE snapshot on an 8-PE machine succeeded")
+	// Truncated images do not fit the DRAM; epoch -1 names the pre-run
+	// image, which is not a resume point.
+	short, neg := copySnap(cp), copySnap(cp)
+	for pe := range short.Mem {
+		short.Mem[pe] = short.Mem[pe][:len(short.Mem[pe])/2]
 	}
-	// Wrong image size for the machine's DRAM.
-	bad := copySnap(cp)
-	for pe := range bad.Mem {
-		bad.Mem[pe] = bad.Mem[pe][:len(bad.Mem[pe])/2]
+	neg.Epoch = -1
+	for _, tc := range []struct {
+		what string
+		m    *machine.T3D
+		snap *splitc.MachineSnapshot
+	}{
+		{"a 4-PE snapshot on an 8-PE machine", NewMachine(8), cp},
+		{"truncated DRAM images", NewMachine(4), short},
+		{"epoch -1", NewMachine(4), neg},
+	} {
+		if tc.snap.Fits(tc.m) == nil {
+			t.Errorf("Fits accepted %s", tc.what)
+		}
+		if _, _, err := RunRecoverableOpts(tc.m, cfg, Put, DefaultKnobs(), RecoverOpts{
+			Recovery: splitc.RecoveryConfig{Resume: tc.snap},
+		}); err == nil {
+			t.Errorf("resume of %s succeeded", tc.what)
+		}
 	}
-	if _, _, err := RunRecoverableOpts(NewMachine(4), cfg, Put, DefaultKnobs(), RecoverOpts{Resume: bad}); err == nil {
-		t.Fatal("resume with truncated DRAM images succeeded")
+	if err := cp.Fits(NewMachine(4)); err != nil {
+		t.Fatalf("Fits refused the snapshot on its own machine shape: %v", err)
 	}
 }
 

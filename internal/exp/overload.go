@@ -129,7 +129,7 @@ func RunIncast(cfg IncastConfig) (IncastResult, error) {
 	//lint:allow sharedstate eps[c.MyPE()] is a per-PE slot; the watchdog closure only sums endpoint stats read-only
 	eps := make([]*am.Endpoint, cfg.PEs)
 	var lats []sim.Time
-	//lint:allow sharedstate each sender increments it exactly once after Flush behind the fan-in range guard; the increments commute and the consumer only polls for the final total -- revisit under the sharded heap (ROADMAP item 2)
+	//lint:allow sharedstate each sender increments it exactly once after Flush behind the fan-in range guard; the increments commute and the consumer only polls for the final total -- revisit under the sharded heap (parked parallel DES, ROADMAP)
 	done := 0
 	m.Eng.SetWatchdog(500000, 6, func() int64 {
 		var sum int64

@@ -139,9 +139,9 @@ func TestPropagatedPoisonCannotLaunder(t *testing.T) {
 func TestScrubRepairsSinglesOnly(t *testing.T) {
 	d := testDRAM()
 	d.SetECC(true)
-	d.InjectFlip(0, 1<<3)       // single
-	d.InjectFlip(8, 1<<4)       // single
-	d.InjectFlip(16, 1|1<<62)   // double
+	d.InjectFlip(0, 1<<3)     // single
+	d.InjectFlip(8, 1<<4)     // single
+	d.InjectFlip(16, 1|1<<62) // double
 	if repaired := d.ScrubRange(0, 24); repaired != 2 {
 		t.Fatalf("scrub repaired %d, want 2", repaired)
 	}
@@ -181,8 +181,8 @@ func TestECCOffReadsAreSilent(t *testing.T) {
 func TestRawHostReadOfPoisonIsSilent(t *testing.T) {
 	d := testDRAM()
 	d.SetECC(true)
-	d.InjectFlip(0, 1<<2)     // single: the raw window still repairs it
-	d.InjectFlip(8, 1|1<<61)  // double: the raw window cannot signal it
+	d.InjectFlip(0, 1<<2)    // single: the raw window still repairs it
+	d.InjectFlip(8, 1|1<<61) // double: the raw window cannot signal it
 	if v := d.Read64(0); v != 0 {
 		t.Errorf("raw read did not repair the single: %#x", v)
 	}

@@ -6,7 +6,6 @@ import (
 	"repro/internal/ckpt"
 	"repro/internal/em3d"
 	"repro/internal/machine"
-	"repro/internal/shell"
 	"repro/internal/sim"
 	"repro/internal/splitc"
 )
@@ -19,7 +18,6 @@ type ckptRef struct {
 	File   string
 	Digest string
 	Epoch  int
-	Cycles int64
 }
 
 // ckptRun carries one job's durable-checkpoint context into runSpec:
@@ -50,22 +48,24 @@ type ckptRun struct {
 // checkpointing, resuming from the newest valid journal-referenced
 // checkpoint when there is one.
 func (c *ckptRun) run(m *machine.T3D, cfg em3d.Config, v em3d.Version, prog *Progress) (em3d.Result, error) {
-	resume, base := c.resolveResume(m)
-	if resume != nil && prog != nil {
-		prog.Resumed.Store(true)
-		prog.ResumeEpoch.Store(int64(resume.Epoch))
-		prog.ResumeCycles.Store(base)
-		prog.Cycles.Store(base)
+	resume := c.resolveResume(m)
+	var base int64
+	if resume != nil {
+		base = resume.Cycles
+		if prog != nil {
+			prog.Resumed.Store(true)
+			prog.ResumeEpoch.Store(int64(resume.Epoch))
+			prog.ResumeCycles.Store(base)
+			prog.Cycles.Store(base)
+		}
 	}
 	opts := em3d.RecoverOpts{
-		Resume:     resume,
-		BaseCycles: sim.Time(base),
-		Sink:       c.sink(base, prog),
+		Recovery: splitc.RecoveryConfig{Resume: resume, Sink: c.sink(base, prog)},
 	}
 	if prog != nil {
 		opts.Progress = func(epoch int, cum sim.Time) {
 			prog.Iters.Store(int64(epoch))
-			prog.Cycles.Store(int64(cum))
+			prog.Cycles.Store(cum)
 		}
 	}
 	res, _, err := em3d.RunRecoverableOpts(m, cfg, v, em3d.DefaultKnobs(), opts)
@@ -78,7 +78,7 @@ func (c *ckptRun) run(m *machine.T3D, cfg em3d.Config, v em3d.Version, prog *Pro
 // candidate that fails any check is quarantined and the next-older one
 // tried; with none left the job replays from scratch. Graceful
 // degradation — a damaged checkpoint can cost time, never correctness.
-func (c *ckptRun) resolveResume(m *machine.T3D) (*splitc.MachineSnapshot, int64) {
+func (c *ckptRun) resolveResume(m *machine.T3D) *splitc.MachineSnapshot {
 	for _, ref := range c.refs {
 		snap, err := c.store.Load(ref.File, ref.Digest)
 		if err != nil {
@@ -92,59 +92,35 @@ func (c *ckptRun) resolveResume(m *machine.T3D) (*splitc.MachineSnapshot, int64)
 			c.store.Quarantine(ref.File)
 			continue
 		}
-		if snap.PEs != len(m.Nodes) || (snap.PEs > 0 && snap.MemLen != m.Nodes[0].DRAM.Size()) {
-			c.logf("serve: checkpoint %s shape (%d PEs × %d B) does not fit the machine (quarantined)",
-				ref.File, snap.PEs, snap.MemLen)
+		if err := snap.Fits(m); err != nil {
+			c.logf("serve: checkpoint %s does not fit the machine: %v (quarantined)", ref.File, err)
 			c.store.Quarantine(ref.File)
 			continue
 		}
-		ms := &splitc.MachineSnapshot{
-			Epoch: snap.Epoch,
-			Mem:   snap.Mem,
-			Regs:  make([]shell.RegSnapshot, snap.PEs),
-			Heap:  append([]int64(nil), snap.Heap...),
-		}
-		for pe, r := range snap.Regs {
-			ms.Regs[pe] = shell.RegSnapshot{FI: [2]uint64{r[0], r[1]}, Swap: r[2]}
-		}
 		c.logf("serve: job %s resuming from checkpoint %s (epoch %d, %d cycles banked)",
 			c.id, ref.File, snap.Epoch, snap.Cycles)
-		return ms, snap.Cycles
+		return &snap.MachineSnapshot
 	}
-	return nil, 0
+	return nil
 }
 
-// sink returns the em3d checkpoint sink: persist at most one file per
+// sink returns the checkpoint sink: persist at most one file per
 // interval of cumulative cycles. It runs in simulation context (the
 // machine is quiesced at a committed checkpoint), so its wall time is
 // invisible to simulated time and its failures only delay the next
 // persist attempt by one interval — a dead disk degrades RTO, not the
 // run.
-func (c *ckptRun) sink(base int64, prog *Progress) func(*splitc.MachineSnapshot, sim.Time) {
+func (c *ckptRun) sink(base int64, prog *Progress) func(*splitc.MachineSnapshot) {
 	lastPersist := base
-	return func(ms *splitc.MachineSnapshot, cum sim.Time) {
-		if int64(cum)-lastPersist < c.interval {
+	return func(ms *splitc.MachineSnapshot) {
+		if ms.Cycles-lastPersist < c.interval {
 			return
 		}
 		// Attempt made: advance the gate on success or failure, so a
 		// persistently failing disk is probed once per interval, not once
 		// per epoch.
-		lastPersist = int64(cum)
-		snap := &ckpt.Snapshot{
-			Meta: ckpt.Meta{
-				JobID: c.id, Epoch: ms.Epoch, Cycles: int64(cum),
-				PEs: len(ms.Mem), Heap: ms.Heap,
-				Regs: make([][3]uint64, len(ms.Regs)),
-			},
-			Mem: ms.Mem,
-		}
-		if len(ms.Mem) > 0 {
-			snap.MemLen = int64(len(ms.Mem[0]))
-		}
-		for pe, r := range ms.Regs {
-			snap.Regs[pe] = [3]uint64{r.FI[0], r.FI[1], r.Swap}
-		}
-		name, digest, err := c.store.Write(snap)
+		lastPersist = ms.Cycles
+		name, digest, err := c.store.Write(&ckpt.Snapshot{JobID: c.id, MachineSnapshot: *ms})
 		if err != nil {
 			if prog != nil {
 				prog.CheckpointFails.Add(1)
@@ -154,7 +130,7 @@ func (c *ckptRun) sink(base int64, prog *Progress) func(*splitc.MachineSnapshot,
 		}
 		rec := Record{
 			Type: recCheckpointed, ID: c.id, Tenant: c.tenant,
-			Epoch: ms.Epoch, File: name, Digest: digest, Cycles: int64(cum),
+			Epoch: ms.Epoch, File: name, Digest: digest, Cycles: ms.Cycles,
 		}
 		if err := appendRetry(c.journal, rec, 3, time.Sleep); err != nil {
 			// The binding is not durable: unpublish so no file exists the

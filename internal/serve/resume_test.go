@@ -262,11 +262,12 @@ func TestBindFailureUnpublishesCheckpoint(t *testing.T) {
 	var prog Progress
 	sink := c.sink(0, &prog)
 	sink(&splitc.MachineSnapshot{
-		Epoch: 1,
-		Mem:   [][]byte{make([]byte, 64)},
-		Regs:  []shell.RegSnapshot{{}},
-		Heap:  []int64{0},
-	}, 100)
+		Epoch:  1,
+		Cycles: 100,
+		Mem:    [][]byte{make([]byte, 64)},
+		Regs:   []shell.RegSnapshot{{}},
+		Heap:   []int64{0},
+	})
 
 	if got := prog.CheckpointFails.Load(); got != 1 {
 		t.Fatalf("CheckpointFails = %d, want 1", got)

@@ -133,25 +133,19 @@ func runSpec(spec JobSpec, cycleLimit int64, cancel func() error, prog *Progress
 		if prog != nil {
 			prog.TotalIters.Store(int64(n.Iters))
 		}
+		var res em3d.Result
 		if ck != nil && ck.interval > 0 {
-			res, err := ck.run(m, cfg, v, prog)
-			if err != nil {
-				return JobResult{}, err
+			res, err = ck.run(m, cfg, v, prog)
+		} else {
+			var hooks em3d.Hooks
+			if prog != nil {
+				hooks.Progress = func(iter int, now sim.Time) {
+					prog.Iters.Store(int64(iter))
+					prog.Cycles.Store(now)
+				}
 			}
-			return JobResult{
-				App: AppEM3D, Digest: fmt.Sprintf("%016x", res.Digest),
-				Cycles: res.Cycles, Validated: res.Validated, USPerEdge: res.USPerEdge,
-				Rewrites: res.Rewrites, Audits: res.Audits,
-			}, nil
+			res, err = em3d.RunChecked(m, cfg, v, em3d.DefaultKnobs(), hooks)
 		}
-		var hooks em3d.Hooks
-		if prog != nil {
-			hooks.Progress = func(iter int, now sim.Time) {
-				prog.Iters.Store(int64(iter))
-				prog.Cycles.Store(now)
-			}
-		}
-		res, err := em3d.RunChecked(m, cfg, v, em3d.DefaultKnobs(), hooks)
 		if err != nil {
 			return JobResult{}, err
 		}

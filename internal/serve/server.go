@@ -160,7 +160,7 @@ func NewServer(cfg Config) (*Server, error) {
 			case recCheckpointed:
 				if r.File != "" && r.Digest != "" {
 					ckrefs[r.ID] = append(ckrefs[r.ID],
-						ckptRef{File: r.File, Digest: r.Digest, Epoch: r.Epoch, Cycles: r.Cycles})
+						ckptRef{File: r.File, Digest: r.Digest, Epoch: r.Epoch})
 				}
 			}
 			if n := seqOf(r.ID); n >= s.seq {
@@ -267,7 +267,6 @@ func (s *Server) Submit(spec JobSpec) (*Job, error) {
 		job.Result = res
 		job.state.Store(int32(StateDone))
 		close(job.done)
-		delete(s.byKey, key)
 		s.mu.Unlock()
 		return job, nil
 	}
@@ -278,13 +277,18 @@ func (s *Server) Submit(spec JobSpec) (*Job, error) {
 		s.mu.Unlock()
 		return nil, &DegradedError{RetryAfter: s.journal.RetryAfter()}
 	}
+	// Admission is decided under s.mu, and only an admitted job enters
+	// byKey: a duplicate submit can never dedup onto a job the pool
+	// sheds. Pool.Submit takes only the pool's own lock.
 	job := s.newJobLocked(key, tenant, spec)
-	s.mu.Unlock()
-
 	if err := s.pool.Submit(job); err != nil {
-		s.forget(job)
+		delete(s.jobs, job.ID)
+		s.mu.Unlock()
 		return nil, err
 	}
+	s.byKey[key] = job
+	s.mu.Unlock()
+
 	// WAL: the job is acknowledged only after its submitted record is
 	// durable. A crash before this append loses a job no client was
 	// ever promised.
@@ -296,17 +300,16 @@ func (s *Server) Submit(spec JobSpec) (*Job, error) {
 	return job, nil
 }
 
-// newJobLocked allocates and registers a job (s.mu held).
+// newJobLocked allocates a job and registers it by ID (s.mu held).
 func (s *Server) newJobLocked(key uint64, tenant string, spec JobSpec) *Job {
 	job := &Job{ID: fmt.Sprintf("j%08d", s.seq), Key: key, Tenant: tenant, Spec: spec,
 		done: make(chan struct{})}
 	s.seq++
 	s.jobs[job.ID] = job
-	s.byKey[key] = job
 	return job
 }
 
-// forget unregisters a job that never ran (shed, journal failure).
+// forget unregisters a job whose submit record could not be journaled.
 func (s *Server) forget(job *Job) {
 	s.mu.Lock()
 	delete(s.jobs, job.ID)
@@ -449,9 +452,16 @@ func (s *Server) wallLimit(j *Job) time.Duration {
 	return s.cfg.DefaultWallLimit
 }
 
-// finish marks a job terminal, journals the outcome, and releases its
-// dedup slot.
+// finish releases a job's dedup slot, marks it terminal, and journals
+// the outcome. The slot goes first: from here on the job is finished
+// work, and a resubmit must find the result execute already cached,
+// not wait on this job's done-record fsync.
 func (s *Server) finish(j *Job, res JobResult, err error) {
+	s.mu.Lock()
+	if s.byKey[j.Key] == j {
+		delete(s.byKey, j.Key)
+	}
+	s.mu.Unlock()
 	var rec *Record
 	if err == nil {
 		j.Result = res
@@ -497,11 +507,6 @@ func (s *Server) finish(j *Job, res JobResult, err error) {
 			s.ckpts.SweepJob(j.ID)
 		}
 	}
-	s.mu.Lock()
-	if s.byKey[j.Key] == j {
-		delete(s.byKey, j.Key)
-	}
-	s.mu.Unlock()
 	close(j.done)
 }
 

@@ -385,14 +385,17 @@ func TestHTTPTenantRouting(t *testing.T) {
 		return st
 	}
 
-	if st := post(`{"app":"em3d","pes":2,"nodes_per_pe":8,"degree":2,"iters":1,"seed":301}`, "alice"); st.Tenant != "alice" {
-		t.Errorf("header tenant: job tenant %q, want alice", st.Tenant)
+	alice := post(`{"app":"em3d","pes":2,"nodes_per_pe":8,"degree":2,"iters":1,"seed":301}`, "alice")
+	if alice.Tenant != "alice" {
+		t.Errorf("header tenant: job tenant %q, want alice", alice.Tenant)
 	}
-	if st := post(`{"app":"em3d","pes":2,"nodes_per_pe":8,"degree":2,"iters":1,"seed":302,"tenant":"bob"}`, "alice"); st.Tenant != "bob" {
-		t.Errorf("body tenant must win: job tenant %q, want bob", st.Tenant)
+	bob := post(`{"app":"em3d","pes":2,"nodes_per_pe":8,"degree":2,"iters":1,"seed":302,"tenant":"bob"}`, "alice")
+	if bob.Tenant != "bob" {
+		t.Errorf("body tenant must win: job tenant %q, want bob", bob.Tenant)
 	}
-	if st := post(`{"app":"em3d","pes":2,"nodes_per_pe":8,"degree":2,"iters":1,"seed":303}`, ""); st.Tenant != DefaultTenant {
-		t.Errorf("unlabeled submit: job tenant %q, want %q", st.Tenant, DefaultTenant)
+	unlabeled := post(`{"app":"em3d","pes":2,"nodes_per_pe":8,"degree":2,"iters":1,"seed":303}`, "")
+	if unlabeled.Tenant != DefaultTenant {
+		t.Errorf("unlabeled submit: job tenant %q, want %q", unlabeled.Tenant, DefaultTenant)
 	}
 
 	// An invalid tenant name is a 400, not a scheduling surprise.
@@ -409,7 +412,16 @@ func TestHTTPTenantRouting(t *testing.T) {
 	}
 
 	// A tenant served purely from the shared cache never touches the
-	// scheduler, but its hits must still show up on /statusz.
+	// scheduler, but its hits must still show up on /statusz. The routed
+	// jobs finish first, so the direct submit below cannot be shed by
+	// the admission window they fill.
+	for _, st := range []JobStatus{alice, bob, unlabeled} {
+		j, err := s.Job(st.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		awaitJob(t, j)
+	}
 	spec := quickSpec(305)
 	spec.Tenant = "alice"
 	j, err := s.Submit(spec)

@@ -195,7 +195,7 @@ func (s *Shell) SetAnnex(p *sim.Proc, idx, pe int, cached bool) {
 	p.Wait(s.cfg.AnnexUpdate)
 	s.AnnexUpdates++
 	s.annex[idx] = AnnexEntry{PE: pe, Cached: cached}
-	//lint:allow hotalloc the tracer's variadic boxes on every rebind; a zero-cost disarmed Trace is the ROADMAP item-1 follow-up
+	//lint:allow hotalloc the tracer's variadic boxes on every rebind; a zero-cost disarmed Trace is ROADMAP item 5(b) (typed trace)
 	s.eng.Trace("shell.annex", "pe%d annex[%d] <- pe=%d cached=%v", s.pe, idx, pe, cached)
 }
 
@@ -298,7 +298,7 @@ func (s *Shell) ReadWord(p *sim.Proc, pa int64, size int) uint64 {
 	s.checkReachable(e.PE)
 	off := addr.Offset(pa)
 	s.RemoteReads++
-	//lint:allow hotalloc the tracer's variadic boxes on every read; a zero-cost disarmed Trace is the ROADMAP item-1 follow-up
+	//lint:allow hotalloc the tracer's variadic boxes on every read; a zero-cost disarmed Trace is ROADMAP item 5(b) (typed trace)
 	s.eng.Trace("shell.read", "pe%d uncached read pe%d+%#x", s.pe, e.PE, off)
 	p.Wait(s.cfg.IssueExtra)
 	done := sim.NewSignal("readword")

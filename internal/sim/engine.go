@@ -118,7 +118,7 @@ func (e *Engine) At(t Time, fn func()) {
 		panic(fmt.Sprintf("sim: At(%d) is in the past (now=%d)", t, e.now))
 	}
 	e.seq++
-	//lint:allow hotalloc one event header per scheduled callback is the DES cost model; pooling popped headers is the ROADMAP item-1 follow-up
+	//lint:allow hotalloc one event header per scheduled callback is the DES cost model; pooling popped headers is ROADMAP item 4 (event-kernel costs)
 	heap.Push(&e.events, &event{at: t, seq: e.seq, fn: fn})
 }
 
@@ -133,7 +133,7 @@ func (e *Engine) After(d Time, fn func()) { e.At(e.now+d, fn) }
 //t3d:hotpath
 func (e *Engine) scheduleEpoch(p *Proc, t Time, epoch uint64) {
 	e.seq++
-	//lint:allow hotalloc one event header per proc wakeup is the DES cost model; pooling popped headers is the ROADMAP item-1 follow-up
+	//lint:allow hotalloc one event header per proc wakeup is the DES cost model; pooling popped headers is ROADMAP item 4 (event-kernel costs)
 	heap.Push(&e.events, &event{at: t, seq: e.seq, proc: p, epoch: epoch})
 }
 

@@ -262,7 +262,7 @@ type waiter struct {
 // NewSignal returns a named signal.
 //
 //t3d:hotpath
-//lint:allow hotalloc one signal object per outstanding transaction; header pooling is the ROADMAP item-1 follow-up
+//lint:allow hotalloc one signal object per outstanding transaction; header pooling is ROADMAP item 4 (event-kernel costs)
 func NewSignal(name string) *Signal { return &Signal{name: name} }
 
 // Fire wakes all procs currently blocked on the signal. The wakeups are

@@ -23,12 +23,12 @@ var ErrAuditMismatch = errors.New("splitc: integrity audit mismatch")
 // the two ends of the region no longer agree. Recoverable programs treat
 // it exactly like poison — roll back and replay.
 type AuditError struct {
-	PE    int    // the auditing processor
-	Peer  int    // the remote end of the transfer
-	Local uint64 // FNV-1a checksum of the local buffer
+	PE     int    // the auditing processor
+	Peer   int    // the remote end of the transfer
+	Local  uint64 // FNV-1a checksum of the local buffer
 	Remote uint64 // FNV-1a checksum of the remote region
-	N     int64  // region size in bytes
-	Write bool   // true: local→remote transfer; false: remote→local
+	N      int64  // region size in bytes
+	Write  bool   // true: local→remote transfer; false: remote→local
 }
 
 func (e *AuditError) Error() string {

@@ -16,15 +16,13 @@ import (
 // correct through node hard-faults.
 //
 // The execution model is epoch-structured. A program is a setup function
-// (allocations, initial data, endpoint creation) plus an epoch step
-// function; the runtime runs epochs separated by global checkpoints. At
-// each checkpoint every PE quiesces — outstanding gets drained, remote
-// writes acknowledged and (in reliable mode) verified, BLT transfers
-// finished, registered soft state (active-message endpoints) flushed —
-// then crosses the hardware barrier while continuing to service message
-// queues, and the last arriver snapshots the whole machine: every node's
-// DRAM image, the shell's architected registers, and each PE's
-// checkpointable Go-level state. Only the latest checkpoint is kept.
+// (allocations, initial data) plus an epoch step function; the runtime
+// runs epochs separated by global checkpoints. At each checkpoint every
+// PE quiesces — outstanding gets drained, remote writes acknowledged and
+// (in reliable mode) verified, BLT transfers finished — then crosses the
+// hardware barrier, and the last arriver snapshots the whole machine:
+// every node's DRAM image, the shell's architected registers, and each
+// PE's runtime heap cursor. Only the latest checkpoint is kept.
 //
 // A node hard-fault is fail-stop-and-reboot: the CPU's volatile memory is
 // zeroed (the crash model) and every program proc is interrupted. Procs
@@ -38,48 +36,50 @@ import (
 // The correctness contract for recoverable programs: all mutable state
 // that crosses an epoch boundary must live in simulated memory (the
 // Split-C model — spread arrays, counters in the heap). Go closure state
-// captured at setup must be immutable (layout addresses, sizes) or
-// registered as a Checkpointable. Rollback to the pre-setup image re-runs
-// setup itself, so setup must be deterministic.
+// captured at setup must be immutable (layout addresses, sizes).
+// Rollback to the pre-setup image re-runs setup itself, so setup must be
+// deterministic.
 
-// Checkpointable is per-PE soft (Go-level) state that must survive
-// rollback — the poster child is an active-message endpoint, whose
-// sequence numbers and credit counters live outside simulated memory.
-// Register instances with Recovery.Register from inside setup.
-type Checkpointable interface {
-	// QuiesceState completes the instance's outstanding traffic so a
-	// snapshot is consistent (e.g. flush unacknowledged sends).
-	QuiesceState(c *Ctx)
-	// CheckpointState returns an opaque snapshot of the soft state.
-	CheckpointState() any
-	// RestoreState reinstates a CheckpointState snapshot after rollback.
-	RestoreState(snap any)
-}
+// pollGap paces the quiesce and rendezvous waits, in cycles. They stay
+// timed waits: a superseded timeout still advances the engine clock
+// when it pops (sim.Engine sets now before skipping a stale wakeup), so
+// untimed waits would move every recoverable run's cycle count.
+const pollGap sim.Time = 200
 
-// Poller is optionally implemented by Checkpointables that service an
-// incoming message queue. The checkpoint rendezvous keeps polling
-// registered Pollers while waiting, so a peer's QuiesceState (which may
-// need this PE's acknowledgements) can complete.
-type Poller interface {
-	// PollState services the queue once, reporting whether it made
-	// progress.
-	PollState(c *Ctx) bool
-}
-
-// MachineSnapshot is the serializable core of one committed checkpoint:
-// everything a fresh runtime needs to resume the program at Epoch
-// without replaying earlier epochs. Mem and Regs handed to a Sink are
-// the coordinator's own buffers — valid only for the duration of the
-// call; a sink that persists asynchronously must copy. Soft state
-// registered via Register (AM endpoints) is deliberately absent: runs
-// with registered Checkpointables are not externally resumable and
-// never reach a Sink.
+// MachineSnapshot is one committed checkpoint: everything a fresh
+// runtime needs to resume the program at Epoch without replaying
+// earlier epochs. Because the recovery contract keeps all cross-epoch
+// state in simulated memory, DRAM, shell registers and heap cursors
+// are the whole of it. The same value serves as the coordinator's
+// rollback target, the Sink's argument, the Resume input, and (via
+// package ckpt) the on-disk checkpoint.
 type MachineSnapshot struct {
-	Epoch int      // the epoch a resume of this snapshot starts at
-	Now   sim.Time // simulated time when the checkpoint committed
-	Mem   [][]byte // per-PE DRAM images
-	Regs  []shell.RegSnapshot
-	Heap  []int64 // per-PE runtime heap cursor (ctxSnap.heapNext)
+	Epoch  int      // the epoch a resume of this snapshot starts at; -1 is the pre-run image
+	Cycles sim.Time // cumulative simulated cycles the image accounts for
+	Mem    [][]byte // per-PE DRAM images
+	Regs   []shell.RegSnapshot
+	Heap   []int64 // per-PE runtime heap cursor
+}
+
+// Fits reports why the snapshot cannot resume a run on m, or nil if it
+// can: one DRAM image, register set and heap cursor per node, each image
+// the size of that node's DRAM, and a non-negative epoch.
+func (s *MachineSnapshot) Fits(m *machine.T3D) error {
+	n := len(m.Nodes)
+	if len(s.Mem) != n || len(s.Regs) != n || len(s.Heap) != n {
+		return fmt.Errorf("recovery: snapshot has %d/%d/%d mem/regs/heap entries for a %d-PE machine",
+			len(s.Mem), len(s.Regs), len(s.Heap), n)
+	}
+	if s.Epoch < 0 {
+		return fmt.Errorf("recovery: snapshot epoch %d is negative", s.Epoch)
+	}
+	for pe, node := range m.Nodes {
+		if int64(len(s.Mem[pe])) != node.DRAM.Size() {
+			return fmt.Errorf("recovery: snapshot image for pe%d is %d bytes, DRAM is %d",
+				pe, len(s.Mem[pe]), node.DRAM.Size())
+		}
+	}
+	return nil
 }
 
 // RecoveryConfig parameterizes the recovery runtime.
@@ -87,17 +87,25 @@ type RecoveryConfig struct {
 	// MaxRollbacks bounds total rollbacks before the run is declared
 	// unrecoverable (0 = a default of 16).
 	MaxRollbacks int
-	// PollGap paces queue polling while waiting at a rendezvous
-	// (0 = a default of 200 cycles).
-	PollGap sim.Time
+	// Resume, if non-nil, is an externally persisted checkpoint that
+	// replaces the pre-run image: Run restores it before any proc runs
+	// and begins at Resume.Epoch, and later checkpoints carry Cycles
+	// on from Resume.Cycles. Run copies it and never writes the
+	// caller's buffers. The machine must be freshly built with the
+	// original run's host-side setup (graph build, layout, seeding) so
+	// layout addresses match; the restored DRAM image then overrides
+	// the seeded data and the program replays from the checkpointed
+	// epoch to a bit-identical result.
+	Resume *MachineSnapshot
 	// Sink, if non-nil, observes every committed mid-run checkpoint —
 	// the durable-checkpoint hook. It runs in the last arriver's proc
 	// context with the machine fully quiesced, and must not touch the
 	// simulation (host I/O only; wall time it spends is invisible to
 	// simulated time). It is not called for the pre-run image or the
-	// final checkpoint (the run is about to produce its result anyway),
-	// nor when any PE registered a Checkpointable — soft endpoint state
-	// is not serialized, so such runs are only internally recoverable.
+	// final checkpoint (the run is about to produce its result anyway).
+	// The snapshot is the coordinator's own, valid only for the
+	// duration of the call; a sink that persists asynchronously must
+	// copy.
 	Sink func(*MachineSnapshot)
 }
 
@@ -120,34 +128,26 @@ type RecoveryStats struct {
 // bulk-synchronous structure recovery depends on.
 type EpochFunc func(epoch int) bool
 
-// SetupFunc initializes one PE: allocations, initial data, endpoint
-// registration. It returns the PE's epoch step. Setup re-runs from
-// scratch when a crash forces rollback to the pre-run image, so it must
-// be deterministic.
-type SetupFunc func(c *Ctx, r *Recovery) EpochFunc
-
-// ctxSnap is the runtime context's own checkpointable state.
-type ctxSnap struct{ heapNext int64 }
+// SetupFunc initializes one PE: allocations and initial data. It
+// returns the PE's epoch step. Setup re-runs from scratch when a crash
+// forces rollback to the pre-run image, so it must be deterministic.
+type SetupFunc func(c *Ctx) EpochFunc
 
 // Recovery coordinates checkpoint/rollback across all PEs of a runtime.
 type Recovery struct {
 	rt  *Runtime
 	cfg RecoveryConfig
 
-	procs []*sim.Proc
-	items [][]Checkpointable // per-PE registered soft state
+	ctxs []*Ctx // per-PE program contexts, set as each proc starts
 
-	// Latest committed checkpoint. ckptEpoch is the next epoch to run
-	// after a restore; -1 is the pre-run image, where restore means
+	// ckpt is the latest committed checkpoint, the image a rollback
+	// restores. Epoch -1 is the pre-run image, where restore means
 	// "re-run setup".
-	ckptEpoch int
-	mem       [][]byte
-	regs      []shell.RegSnapshot
-	soft      [][]any // per PE: [0] = ctxSnap, then item snapshots
+	ckpt MachineSnapshot
+	base sim.Time // cycles the resume image accounts for (0 on a fresh run)
 
 	// Checkpoint rendezvous state.
 	arrived   int
-	softNext  [][]any
 	exhausted []bool
 	ckptGen   int64
 	ckptSig   *sim.Signal
@@ -162,10 +162,6 @@ type Recovery struct {
 	committed bool // final checkpoint taken: results are stable, crashes ignored
 	err       error
 
-	// resume, when set by ResumeFrom, replaces the pre-run image: Run
-	// restores it before any proc starts and begins at resume.Epoch.
-	resume *MachineSnapshot
-
 	Stats RecoveryStats
 }
 
@@ -176,72 +172,22 @@ func NewRecovery(rt *Runtime, cfg RecoveryConfig) *Recovery {
 	if cfg.MaxRollbacks <= 0 {
 		cfg.MaxRollbacks = 16
 	}
-	if cfg.PollGap <= 0 {
-		cfg.PollGap = 200
-	}
 	n := len(rt.M.Nodes)
 	return &Recovery{
-		rt:        rt,
-		cfg:       cfg,
-		procs:     make([]*sim.Proc, n),
-		items:     make([][]Checkpointable, n),
-		ckptEpoch: -1,
-		mem:       make([][]byte, n),
-		regs:      make([]shell.RegSnapshot, n),
-		soft:      make([][]any, n),
-		softNext:  make([][]any, n),
+		rt:   rt,
+		cfg:  cfg,
+		ctxs: make([]*Ctx, n),
+		ckpt: MachineSnapshot{
+			Epoch: -1,
+			Mem:   make([][]byte, n),
+			Regs:  make([]shell.RegSnapshot, n),
+			Heap:  make([]int64, n),
+		},
 		exhausted: make([]bool, n),
 		ckptSig:   sim.NewSignal("recovery.ckpt"),
 		rbArrived: make([]bool, n),
 		rbSig:     sim.NewSignal("recovery.rollback"),
 	}
-}
-
-// Register adds soft state to this PE's checkpoint set. Call from setup,
-// after creating the instance.
-func (r *Recovery) Register(c *Ctx, item Checkpointable) {
-	r.items[c.MyPE()] = append(r.items[c.MyPE()], item)
-}
-
-// Rollbacks returns the completed rollback count so far.
-func (r *Recovery) Rollbacks() int64 { return r.Stats.Rollbacks }
-
-// ResumeFrom arranges for Run to start from an externally persisted
-// checkpoint instead of the pre-run image: the snapshot becomes the
-// baseline restored before any proc runs, and epochs begin at
-// snap.Epoch. The snapshot is deep-copied, so the caller's buffers may
-// be reused. Call before Run, on a freshly built machine whose
-// host-side setup (graph build, layout, seeding) matches the original
-// run — the restored DRAM image then overrides the seeded data and the
-// program replays from the checkpointed epoch to a bit-identical
-// result. Runs that register Checkpointables cannot resume (their soft
-// state is not in the snapshot); Run fails fast if setup registers any.
-func (r *Recovery) ResumeFrom(snap *MachineSnapshot) error {
-	n := len(r.rt.M.Nodes)
-	if len(snap.Mem) != n || len(snap.Regs) != n || len(snap.Heap) != n {
-		return fmt.Errorf("recovery: resume snapshot has %d/%d/%d mem/regs/heap entries for a %d-PE machine",
-			len(snap.Mem), len(snap.Regs), len(snap.Heap), n)
-	}
-	if snap.Epoch < 0 {
-		return fmt.Errorf("recovery: resume epoch %d is negative", snap.Epoch)
-	}
-	for pe, node := range r.rt.M.Nodes {
-		if int64(len(snap.Mem[pe])) != node.DRAM.Size() {
-			return fmt.Errorf("recovery: resume image for pe%d is %d bytes, DRAM is %d",
-				pe, len(snap.Mem[pe]), node.DRAM.Size())
-		}
-	}
-	cp := MachineSnapshot{
-		Epoch: snap.Epoch, Now: snap.Now,
-		Mem:  make([][]byte, n),
-		Regs: append([]shell.RegSnapshot(nil), snap.Regs...),
-		Heap: append([]int64(nil), snap.Heap...),
-	}
-	for pe := range snap.Mem {
-		cp.Mem[pe] = append([]byte(nil), snap.Mem[pe]...)
-	}
-	r.resume = &cp
-	return nil
 }
 
 // CrashNode delivers a node hard-fault: PE's volatile memory is zeroed
@@ -268,49 +214,52 @@ func (r *Recovery) initiateRollback() {
 		return
 	}
 	r.rbGen++
-	for _, p := range r.procs {
-		if p != nil {
-			p.Interrupt()
+	for _, c := range r.ctxs {
+		if c != nil {
+			c.P.Interrupt()
 		}
 	}
 }
 
-// Run executes the program under recovery and returns the elapsed time
-// (including any replayed epochs), the recovery stats, and an error for
-// unrecoverable failures: a partitioned torus (errors.Is(err,
-// net.ErrPartitioned)), the rollback limit, deadlock, or livelock.
+// Run executes the program under recovery and returns the elapsed
+// simulated time of this run (including any replayed epochs; a resumed
+// run's earlier cycles are Resume.Cycles), the recovery stats, and an
+// error for unrecoverable failures: a Resume that does not fit the
+// machine, a partitioned torus (errors.Is(err, net.ErrPartitioned)),
+// the rollback limit, deadlock, or livelock.
 func (r *Recovery) Run(setup SetupFunc) (sim.Time, RecoveryStats, error) {
 	rt := r.rt
 	//lint:allow sharedstate stamped on the host before the attempt procs spawn; attempt bodies treat the rollback epoch base as read-only
 	start := 0
-	if r.resume != nil {
-		// Resume: the external checkpoint replaces the pre-run image as
-		// the rollback baseline. Restore it over the host-side seeding
-		// (which ran so layout addresses match the original run), then
-		// snapshot the restored machine as this run's first checkpoint.
-		for pe, n := range rt.M.Nodes {
-			n.DRAM.Restore(r.resume.Mem[pe])
-			n.L1.InvalidateAll()
-			n.Shell.RestoreRegs(r.resume.Regs[pe])
-			r.soft[pe] = []any{ctxSnap{heapNext: r.resume.Heap[pe]}}
+	resume := r.cfg.Resume
+	if resume != nil {
+		// The external checkpoint replaces the pre-run image as the
+		// rollback baseline. Restore it over the host-side seeding
+		// (which ran so layout addresses match the original run).
+		if err := resume.Fits(rt.M); err != nil {
+			return 0, r.Stats, err
 		}
-		r.snapshotMachine()
-		r.ckptEpoch = r.resume.Epoch
-		start = r.resume.Epoch
+		r.ckpt.Epoch, r.ckpt.Cycles = resume.Epoch, resume.Cycles
+		for pe := range r.ckpt.Mem {
+			r.ckpt.Mem[pe] = append([]byte(nil), resume.Mem[pe]...)
+		}
+		copy(r.ckpt.Regs, resume.Regs)
+		copy(r.ckpt.Heap, resume.Heap)
+		r.base = resume.Cycles
+		r.restoreMachine()
 		r.Stats.Checkpoints++
+		start = resume.Epoch
 	} else {
 		// Checkpoint the pre-run image (epoch -1): host-side seeding has
 		// happened, no proc has run. A crash before the first post-setup
 		// checkpoint restores this and re-runs setup itself.
-		r.snapshotMachine()
-		r.ckptEpoch = -1
-		r.Stats.Checkpoints++
+		r.snapshotMachine(-1)
 	}
 
 	end, err := rt.M.RunErr(func(p *sim.Proc, n *machine.Node) {
 		c := rt.newCtx(p, n)
 		pe := c.MyPE()
-		r.procs[pe] = p
+		r.ctxs[pe] = c
 		var step EpochFunc
 		epoch := start
 		for {
@@ -319,16 +268,12 @@ func (r *Recovery) Run(setup SetupFunc) (sim.Time, RecoveryStats, error) {
 					return
 				}
 				if step == nil {
-					step = setup(c, r)
-					if r.resume != nil {
-						if len(r.items[pe]) > 0 {
-							r.err = fmt.Errorf("recovery: resume with registered Checkpointables is unsupported")
-							return
-						}
+					step = setup(c)
+					if resume != nil {
 						// The fresh context allocated nothing yet; adopt the
 						// checkpointed allocator cursor so in-run allocations
 						// land where the original run put them.
-						c.heapNext = r.resume.Heap[pe]
+						c.heapNext = r.ckpt.Heap[pe]
 					}
 					r.quiesce(c)
 					r.rendezvous(c, start, false)
@@ -350,18 +295,13 @@ func (r *Recovery) Run(setup SetupFunc) (sim.Time, RecoveryStats, error) {
 			if !r.awaitRollback(c) {
 				return // fatal during rollback
 			}
-			if r.ckptEpoch < 0 {
+			if r.ckpt.Epoch < 0 {
 				// Pre-run image restored: replay from the very start.
 				c.resetForRestart()
-				r.items[pe] = nil
 				step = nil
 			} else {
-				snaps := r.soft[pe]
-				c.heapNext = snaps[0].(ctxSnap).heapNext
-				for i, it := range r.items[pe] {
-					it.RestoreState(snaps[i+1])
-				}
-				epoch = r.ckptEpoch
+				c.heapNext = r.ckpt.Heap[pe]
+				epoch = r.ckpt.Epoch
 			}
 		}
 	})
@@ -403,9 +343,7 @@ func (r *Recovery) protect(body func()) (rolledBack bool) {
 
 // quiesce completes this PE's outstanding traffic ahead of a checkpoint:
 // split-phase gets, remote writes (verified in reliable mode), BLT
-// transfers, registered endpoints — then crosses the hardware barrier,
-// polling message queues while it collects so that peers still flushing
-// can get their acknowledgements.
+// transfers — then crosses the hardware barrier.
 func (r *Recovery) quiesce(c *Ctx) {
 	c.drainGets()
 	c.Node.CPU.MB(c.P)
@@ -415,54 +353,29 @@ func (r *Recovery) quiesce(c *Ctx) {
 	}
 	c.settleWrites()
 	c.settleAudits()
-	for _, it := range r.items[c.MyPE()] {
-		it.QuiesceState(c)
-	}
 	tk := c.Node.Shell.BarrierStart(c.P)
 	for !c.Node.Shell.BarrierDone(tk) {
-		if !r.pollItems(c) {
-			c.P.WaitSignalTimeout(c.Node.Shell.ArrivalSignal(), r.cfg.PollGap)
-		}
+		c.P.WaitSignalTimeout(c.Node.Shell.ArrivalSignal(), pollGap)
 	}
 }
 
-// pollItems services every registered queue once; true if any progressed.
-func (r *Recovery) pollItems(c *Ctx) bool {
-	progress := false
-	for _, it := range r.items[c.MyPE()] {
-		if pl, ok := it.(Poller); ok && pl.PollState(c) {
-			progress = true
-		}
-	}
-	return progress
-}
-
-// rendezvous is the checkpoint meeting point. Every PE records its soft
-// snapshot and arrives; the last arriver snapshots the whole machine and
-// releases the rest. nextEpoch is the epoch a restore of this checkpoint
-// resumes at; done marks this PE's final epoch.
+// rendezvous is the checkpoint meeting point. Every PE arrives; the last
+// arriver snapshots the whole machine and releases the rest. nextEpoch
+// is the epoch a restore of this checkpoint resumes at; done marks this
+// PE's final epoch.
 func (r *Recovery) rendezvous(c *Ctx, nextEpoch int, done bool) {
-	pe := c.MyPE()
 	if c.P.Interrupted() {
 		panic(sim.InterruptSignal{Proc: c.P.Name()})
 	}
-	snaps := []any{ctxSnap{heapNext: c.heapNext}}
-	for _, it := range r.items[pe] {
-		snaps = append(snaps, it.CheckpointState())
-	}
-	r.softNext[pe] = snaps
-	r.exhausted[pe] = done
+	r.exhausted[c.MyPE()] = done
 	r.arrived++
-	if r.arrived == len(r.procs) {
+	if r.arrived == len(r.ctxs) {
 		r.takeCheckpoint(c, nextEpoch)
 		return
 	}
 	myGen := r.ckptGen
 	for r.ckptGen == myGen && r.err == nil {
-		// Keep servicing queues: a peer may still be quiescing.
-		if !r.pollItems(c) {
-			c.P.WaitSignalTimeout(r.ckptSig, r.cfg.PollGap)
-		}
+		c.P.WaitSignalTimeout(r.ckptSig, pollGap)
 	}
 }
 
@@ -493,10 +406,7 @@ func (r *Recovery) takeCheckpoint(c *Ctx, nextEpoch int) {
 		r.initiateRollback()
 		panic(sim.InterruptSignal{Proc: c.P.Name()})
 	}
-	r.snapshotMachine()
-	copy(r.soft, r.softNext)
-	r.ckptEpoch = nextEpoch
-	r.Stats.Checkpoints++
+	r.snapshotMachine(nextEpoch)
 	all := true
 	for _, d := range r.exhausted {
 		all = all && d
@@ -506,36 +416,41 @@ func (r *Recovery) takeCheckpoint(c *Ctx, nextEpoch int) {
 		// crashes cannot un-compute them.
 		r.committed = true
 	}
-	if r.cfg.Sink != nil && !all && !r.hasItems() {
-		heap := make([]int64, len(r.soft))
-		for pe, snaps := range r.soft {
-			heap[pe] = snaps[0].(ctxSnap).heapNext
-		}
-		r.cfg.Sink(&MachineSnapshot{
-			Epoch: nextEpoch, Now: r.rt.M.Eng.Now(),
-			Mem: r.mem, Regs: r.regs, Heap: heap,
-		})
+	if r.cfg.Sink != nil && !all {
+		r.cfg.Sink(&r.ckpt)
 	}
 	r.arrived = 0
 	r.ckptGen++
 	r.ckptSig.Fire(r.rt.M.Eng)
 }
 
-// hasItems reports whether any PE registered soft (Checkpointable)
-// state — the states a MachineSnapshot cannot carry.
-func (r *Recovery) hasItems() bool {
-	for _, items := range r.items {
-		if len(items) > 0 {
-			return true
+// snapshotMachine commits the machine's current state as the checkpoint
+// a restore resumes at epoch. Every PE waits at the rendezvous, so each
+// context's heap cursor is the one it arrived with; before the procs
+// start (the pre-run image) there are no cursors to record.
+func (r *Recovery) snapshotMachine(epoch int) {
+	for pe, n := range r.rt.M.Nodes {
+		r.ckpt.Mem[pe] = n.DRAM.Snapshot(r.ckpt.Mem[pe])
+		r.ckpt.Regs[pe] = n.Shell.SnapshotRegs()
+		if c := r.ctxs[pe]; c != nil {
+			r.ckpt.Heap[pe] = c.heapNext
 		}
 	}
-	return false
+	r.ckpt.Epoch = epoch
+	r.ckpt.Cycles = r.base + r.rt.M.Eng.Now()
+	r.Stats.Checkpoints++
 }
 
-func (r *Recovery) snapshotMachine() {
+// restoreMachine reinstates the checkpoint's DRAM images and shell
+// registers on every node. The restore rewrites DRAM beneath the
+// (write-through) cache, so every resident line is potentially stale:
+// invalidate wholesale — the replayed epoch re-warms, which is part of
+// the rollback cost.
+func (r *Recovery) restoreMachine() {
 	for pe, n := range r.rt.M.Nodes {
-		r.mem[pe] = n.DRAM.Snapshot(r.mem[pe])
-		r.regs[pe] = n.Shell.SnapshotRegs()
+		n.DRAM.Restore(r.ckpt.Mem[pe])
+		n.L1.InvalidateAll()
+		n.Shell.RestoreRegs(r.ckpt.Regs[pe])
 	}
 }
 
@@ -555,11 +470,11 @@ func (r *Recovery) awaitRollback(c *Ctx) bool {
 				r.rbArrived[pe] = true
 				r.rbWaiting++
 			}
-			if r.rbWaiting == len(r.procs) {
+			if r.rbWaiting == len(r.ctxs) {
 				r.restoreAll()
 			}
 			for r.rbDone < myGen && r.err == nil {
-				c.P.WaitSignalTimeout(r.rbSig, r.cfg.PollGap)
+				c.P.WaitSignalTimeout(r.rbSig, pollGap)
 			}
 		})
 		if !again {
@@ -600,14 +515,7 @@ func (r *Recovery) restoreAll() {
 	if int(r.Stats.Rollbacks) > r.cfg.MaxRollbacks {
 		r.err = fmt.Errorf("recovery: rollback limit %d exceeded — faults outrun recovery", r.cfg.MaxRollbacks)
 	}
-	for pe, n := range r.rt.M.Nodes {
-		n.DRAM.Restore(r.mem[pe])
-		// The restore rewrites DRAM beneath the (write-through) cache:
-		// every resident line is potentially stale. Invalidate wholesale —
-		// the replayed epoch re-warms, which is part of the rollback cost.
-		n.L1.InvalidateAll()
-		n.Shell.RestoreRegs(r.regs[pe])
-	}
+	r.restoreMachine()
 	r.rt.M.Fabric.Barrier.Reset()
 	// Reset any partially collected checkpoint rendezvous: the epoch
 	// replays and every PE re-arrives.
@@ -617,12 +525,13 @@ func (r *Recovery) restoreAll() {
 	}
 	r.rbWaiting = 0
 	r.rbDone = r.rbGen
-	r.rt.M.Eng.Trace("recovery", "rolled back to epoch %d (rollback #%d)", r.ckptEpoch, r.Stats.Rollbacks)
+	r.rt.M.Eng.Trace("recovery", "rolled back to epoch %d (rollback #%d)", r.ckpt.Epoch, r.Stats.Rollbacks)
 	r.rbSig.Fire(r.rt.M.Eng)
 }
 
 // resetForRestart returns the context to its just-constructed state for
-// a replay from the pre-run image.
+// a replay from the pre-run image. The in-flight records (gets, write
+// and audit regions) are already gone: rollbackQuiesce dropped them.
 func (c *Ctx) resetForRestart() {
 	c.heapNext = c.rt.Cfg.HeapBase
 	c.boundPE, c.boundCached = -1, false
@@ -633,16 +542,4 @@ func (c *Ctx) resetForRestart() {
 		c.annexOcc[i] = 0
 	}
 	c.annexNext = dataAnnexLow
-	c.gets = nil
-	c.relPending = nil
-	c.relIndex = nil
-	c.relRegions = nil
-	c.settling = false
-	c.auditRegions = nil
-}
-
-// RunRecoverable is the convenience entry point: build a Recovery with
-// cfg, wire crash sources yourself via NewRecovery if needed, and run.
-func (rt *Runtime) RunRecoverable(cfg RecoveryConfig, setup SetupFunc) (sim.Time, RecoveryStats, error) {
-	return NewRecovery(rt, cfg).Run(setup)
 }
