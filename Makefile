@@ -52,7 +52,8 @@ cover:
 	$(GO) tool cover -func=cover.out | tail -1
 
 # race runs the suite under the race detector. The event kernel hands the
-# single execution token between proc goroutines, so this should stay
+# single execution token between proc goroutines, and whichever holds it
+# runs the event loop and touches the engine's state, so this should stay
 # silent; it guards the handoff itself (signals, timeouts, retransmits).
 race:
 	$(GO) test -race ./...

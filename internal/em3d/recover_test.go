@@ -120,6 +120,36 @@ func TestRecoverableCombinedHardFaults(t *testing.T) {
 	}
 }
 
+// TestRollbackDrainsFetchHintsBeforeDiscard: two node crashes close
+// together roll a Get run back while fetch hints still sit in the
+// write buffer. The rollback must drain them (MB) before it empties the
+// prefetch FIFO, or they land in the FIFO afterwards and the replayed
+// epoch's prefetches overflow it.
+func TestRollbackDrainsFetchHintsBeforeDiscard(t *testing.T) {
+	cfg := Config{NodesPerPE: 24, Degree: 4, RemoteFrac: 0.4, Seed: 1, Iters: 3, Reliable: true}
+	run := func(fcfg fault.Config) (Result, splitc.RecoveryStats, error) {
+		m := NewMachine(4)
+		return RunRecoverable(m, cfg, Get, DefaultKnobs(), splitc.RecoveryConfig{}, fault.Inject(m, fcfg))
+	}
+	clean, _, err := run(fault.Config{})
+	if err != nil {
+		t.Fatalf("fault-free run: %v", err)
+	}
+	res, stats, err := run(fault.Config{Seed: 5, HardNodeFaults: 2, Horizon: 4000, DropRate: 0.01})
+	if err != nil {
+		t.Fatalf("faulted run: %v", err)
+	}
+	if !res.Validated {
+		t.Fatal("run does not validate after rollback")
+	}
+	if stats.Rollbacks < 1 {
+		t.Fatalf("no rollback (%d node crashes): the reproducer no longer reaches the rollback path", stats.NodeCrashes)
+	}
+	if res.Digest != clean.Digest {
+		t.Errorf("digest %#x differs from fault-free %#x", res.Digest, clean.Digest)
+	}
+}
+
 // copySnap deep-copies a sink-borrowed MachineSnapshot (its buffers are
 // only valid for the duration of the Sink call).
 func copySnap(ms *splitc.MachineSnapshot) *splitc.MachineSnapshot {

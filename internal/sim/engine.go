@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"sort"
 	"strings"
@@ -20,35 +19,67 @@ type event struct {
 	epoch uint64 // wakeup generation; stale if != proc.epoch
 }
 
-type eventHeap []*event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
+// before reports whether ev fires ahead of o: earlier time first, then
+// schedule order.
+func (ev *event) before(o *event) bool {
+	return ev.at < o.at || ev.at == o.at && ev.seq < o.seq
 }
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
 
-// Push is the container/heap grow half of the event kernel.
+// eventHeap is a binary min-heap of events by value, ordered by
+// (at, seq).
+type eventHeap []event
+
+// push adds ev, sifting it up from the new last slot.
 //
 //t3d:hotpath
-func (h *eventHeap) Push(x any) {
+func (h *eventHeap) push(ev event) {
 	//lint:allow hotalloc the heap's backing array grows amortized-O(1) and is reused across the run; per-event cost is a slot store
-	*h = append(*h, x.(*event))
+	q := append(*h, ev)
+	i := len(q) - 1
+	for i > 0 {
+		up := (i - 1) / 2
+		if !ev.before(&q[up]) {
+			break
+		}
+		q[i] = q[up]
+		i = up
+	}
+	q[i] = ev
+	*h = q
 }
 
-// Pop is the container/heap shrink half of the event kernel.
+// pop removes and returns the earliest event. The heap must not be
+// empty.
 //
 //t3d:hotpath
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return e
+func (h *eventHeap) pop() event {
+	q := *h
+	top := q[0]
+	n := len(q) - 1
+	last := q[n]
+	q[n] = event{} // drop the closure and proc references
+	q = q[:n]
+	*h = q
+	if n == 0 {
+		return top
+	}
+	i := 0
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if c+1 < n && q[c+1].before(&q[c]) {
+			c++
+		}
+		if !q[c].before(&last) {
+			break
+		}
+		q[i] = q[c]
+		i = c
+	}
+	q[i] = last
+	return top
 }
 
 // Engine is a discrete-event simulator. The zero value is not usable;
@@ -59,9 +90,17 @@ type Engine struct {
 	events eventHeap
 
 	procs   []*Proc
-	yield   chan yieldMsg // procs -> engine handoff
+	done    chan struct{} // token back to the Run or Shutdown caller
 	running bool
 	tracer  Tracer
+
+	// Why the current run ended: dispatch records it on whichever
+	// goroutine holds the token, and RunErr reports it on the caller's.
+	stop      stopReason
+	stopAt    Time  // stopLimit: time of the event beyond Limit
+	stopErr   error // stopCancel: the poll's error
+	stopProc  *Proc // stopPanic: the proc that panicked; nil for a callback
+	stopPanic any   // stopPanic: the recovered value
 
 	// Watchdog state (SetWatchdog).
 	wdInterval Time
@@ -86,30 +125,29 @@ type Engine struct {
 	processed int64
 }
 
-type yieldKind int
+// stopReason says why a run ended.
+type stopReason int
 
 const (
-	yieldBlocked yieldKind = iota // proc parked itself (event or signal pending)
-	yieldDone                     // proc body returned
-	yieldPanic                    // proc body panicked
+	stopDrained  stopReason = iota // no events left
+	stopLimit                      // the next event lay beyond Limit
+	stopLivelock                   // the watchdog saw no progress
+	stopCancel                     // the cancel poll returned an error
+	stopPanic                      // a proc body or a callback panicked
 )
-
-type yieldMsg struct {
-	kind  yieldKind
-	proc  *Proc
-	panic any
-}
 
 // NewEngine returns an engine with time zero and no pending events.
 func NewEngine() *Engine {
-	return &Engine{yield: make(chan yieldMsg)}
+	return &Engine{done: make(chan struct{})}
 }
 
 // Now reports the current simulated time in cycles.
 func (e *Engine) Now() Time { return e.now }
 
 // At schedules fn to run at the given absolute time, which must not be in
-// the past. fn runs inline in the engine loop and must not block.
+// the past. fn runs inline in the event loop, on whichever goroutine
+// holds the execution token (the Run caller's or a parking proc's), and
+// must not block.
 //
 //t3d:hotpath
 func (e *Engine) At(t Time, fn func()) {
@@ -118,8 +156,7 @@ func (e *Engine) At(t Time, fn func()) {
 		panic(fmt.Sprintf("sim: At(%d) is in the past (now=%d)", t, e.now))
 	}
 	e.seq++
-	//lint:allow hotalloc one event header per scheduled callback is the DES cost model; pooling popped headers is ROADMAP item 4 (event-kernel costs)
-	heap.Push(&e.events, &event{at: t, seq: e.seq, fn: fn})
+	e.events.push(event{at: t, seq: e.seq, fn: fn})
 }
 
 // After schedules fn to run d cycles from now.
@@ -133,8 +170,7 @@ func (e *Engine) After(d Time, fn func()) { e.At(e.now+d, fn) }
 //t3d:hotpath
 func (e *Engine) scheduleEpoch(p *Proc, t Time, epoch uint64) {
 	e.seq++
-	//lint:allow hotalloc one event header per proc wakeup is the DES cost model; pooling popped headers is ROADMAP item 4 (event-kernel costs)
-	heap.Push(&e.events, &event{at: t, seq: e.seq, proc: p, epoch: epoch})
+	e.events.push(event{at: t, seq: e.seq, proc: p, epoch: epoch})
 }
 
 // Spawn creates a proc named name running body. The proc starts when the
@@ -150,15 +186,7 @@ func (e *Engine) Spawn(name string, body func(p *Proc)) *Proc {
 	e.procs = append(e.procs, p)
 	go func() {
 		<-p.resume
-		defer func() {
-			if r := recover(); r != nil {
-				p.state = procDone
-				e.yield <- yieldMsg{kind: yieldPanic, proc: p, panic: r}
-				return
-			}
-			p.state = procDone
-			e.yield <- yieldMsg{kind: yieldDone, proc: p}
-		}()
+		defer p.exit()
 		if p.killed {
 			return // reaped by Shutdown before ever running
 		}
@@ -254,11 +282,12 @@ func (l *LimitError) Error() string {
 // processed events the engine calls poll, and a non-nil return aborts
 // the run with that error from RunErr. This is the only sanctioned way
 // for wall-clock concerns (job deadlines, client disconnects, process
-// drain) to reach into a run: the poll runs on the engine goroutine at
-// deterministic points, never mutates simulation state, and an unarmed
-// engine is bit-identical to one polling a closure that returns nil.
-// Pass a nil poll to disarm. After an aborted run the machine is dead;
-// call Shutdown to reap its proc goroutines.
+// drain) to reach into a run: the poll runs in the event loop at
+// deterministic points, on whichever goroutine holds the execution
+// token (the Run caller's or a proc's), never mutates simulation state,
+// and an unarmed engine is bit-identical to one polling a closure that
+// returns nil. Pass a nil poll to disarm. After an aborted run the
+// machine is dead; call Shutdown to reap its proc goroutines.
 func (e *Engine) SetCancelPoll(every int, poll func() error) {
 	if poll != nil && every <= 0 {
 		panic("sim: cancel poll needs a positive event interval")
@@ -270,7 +299,8 @@ func (e *Engine) SetCancelPoll(every int, poll func() error) {
 // engine samples progress(); if the value is unchanged for stalls
 // consecutive samples while events are still firing, the run fails with
 // a LivelockError. Pass a nil probe to disable. The probe must be cheap
-// and side-effect free; it runs inline in the event loop.
+// and side-effect free; it runs inline in the event loop, on whichever
+// goroutine holds the execution token.
 func (e *Engine) SetWatchdog(interval Time, stalls int, progress func() int64) {
 	if progress != nil && (interval <= 0 || stalls <= 0) {
 		panic("sim: watchdog needs a positive interval and stall count")
@@ -299,7 +329,9 @@ func (e *Engine) Run() Time {
 // RunErr is Run with structured failure reporting: deadlock and livelock
 // are returned as *DeadlockError / *LivelockError, and a proc that panics
 // with an error value is returned as a *ProcFailure, instead of
-// panicking — so callers can inspect the failure programmatically.
+// panicking — so callers can inspect the failure programmatically. A
+// callback that panics is re-raised here, on the caller's goroutine,
+// with its original value, whichever goroutine ran it.
 func (e *Engine) RunErr() (Time, error) {
 	if e.running {
 		panic("sim: Engine.Run called reentrantly")
@@ -307,57 +339,27 @@ func (e *Engine) RunErr() (Time, error) {
 	e.running = true
 	defer func() { e.running = false }()
 
-	for len(e.events) > 0 {
-		if e.cancelPoll != nil {
-			e.cancelCount++
-			if e.cancelCount >= e.cancelEvery {
-				e.cancelCount = 0
-				if err := e.cancelPoll(); err != nil {
-					return e.now, err
-				}
-			}
+	e.stop, e.stopErr, e.stopProc, e.stopPanic = stopDrained, nil, nil, nil
+	if p := e.dispatch(); p != nil {
+		p.resume <- struct{}{}
+		<-e.done
+	}
+	switch e.stop {
+	case stopLimit:
+		return e.now, &LimitError{Limit: e.Limit, At: e.stopAt}
+	case stopLivelock:
+		return e.now, &LivelockError{Now: e.now, Progress: e.wdLast,
+			Interval: e.wdInterval, Checks: e.wdCount}
+	case stopCancel:
+		return e.now, e.stopErr
+	case stopPanic:
+		if e.stopProc == nil {
+			panic(e.stopPanic)
 		}
-		ev := heap.Pop(&e.events).(*event)
-		e.processed++
-		if e.Limit > 0 && ev.at > e.Limit {
-			return e.now, &LimitError{Limit: e.Limit, At: ev.at}
+		if err, ok := e.stopPanic.(error); ok {
+			return e.now, &ProcFailure{Proc: e.stopProc.name, Err: err}
 		}
-		if ev.at < e.now {
-			panic("sim: event in the past")
-		}
-		e.now = ev.at
-		if e.wdProbe != nil && e.now >= e.wdNext {
-			for e.now >= e.wdNext {
-				e.wdNext += e.wdInterval
-			}
-			if v := e.wdProbe(); v == e.wdLast {
-				e.wdCount++
-				if e.wdCount >= e.wdStalls {
-					return e.now, &LivelockError{Now: e.now, Progress: v,
-						Interval: e.wdInterval, Checks: e.wdCount}
-				}
-			} else {
-				e.wdLast, e.wdCount = v, 0
-			}
-		}
-		if ev.proc != nil {
-			p := ev.proc
-			if p.state == procDone || p.state == procRunning || ev.epoch != p.epoch {
-				continue // stale wakeup (finished proc or superseded event)
-			}
-			p.state = procRunning
-			p.epoch++ // invalidate any sibling wakeups for the old park
-			p.resume <- struct{}{}
-			msg := <-e.yield
-			if msg.kind == yieldPanic {
-				if err, ok := msg.panic.(error); ok {
-					return e.now, &ProcFailure{Proc: msg.proc.name, Err: err}
-				}
-				panic(fmt.Sprintf("sim: proc %q panicked: %v", msg.proc.name, msg.panic))
-			}
-			continue
-		}
-		ev.fn()
+		panic(fmt.Sprintf("sim: proc %q panicked: %v", e.stopProc.name, e.stopPanic))
 	}
 
 	var stuck []BlockedProc
@@ -373,6 +375,81 @@ func (e *Engine) RunErr() (Time, error) {
 	return e.now, nil
 }
 
+// dispatch is the event loop, run by whichever goroutine holds the
+// execution token: it pops events in (at, seq) order, running callbacks
+// inline, until it reaches the wakeup of a live proc, which it marks
+// running and returns. It returns nil when the run is over, with the
+// reason in e.stop. A panicking callback ends the run too: it is
+// recovered here, so no recover in the body of the proc whose goroutine
+// holds the token can see it, and RunErr re-raises it.
+func (e *Engine) dispatch() (next *Proc) {
+	defer e.recoverCallback()
+	for len(e.events) > 0 {
+		if e.cancelPoll != nil {
+			e.cancelCount++
+			if e.cancelCount >= e.cancelEvery {
+				e.cancelCount = 0
+				if err := e.cancelPoll(); err != nil {
+					e.stop, e.stopErr = stopCancel, err
+					return nil
+				}
+			}
+		}
+		ev := e.events.pop()
+		e.processed++
+		if e.Limit > 0 && ev.at > e.Limit {
+			e.stop, e.stopAt = stopLimit, ev.at
+			return nil
+		}
+		if ev.at < e.now {
+			panic("sim: event in the past")
+		}
+		e.now = ev.at
+		if e.wdProbe != nil && e.now >= e.wdNext {
+			for e.now >= e.wdNext {
+				e.wdNext += e.wdInterval
+			}
+			if v := e.wdProbe(); v == e.wdLast {
+				e.wdCount++
+				if e.wdCount >= e.wdStalls {
+					e.stop = stopLivelock
+					return nil
+				}
+			} else {
+				e.wdLast, e.wdCount = v, 0
+			}
+		}
+		if p := ev.proc; p != nil {
+			if p.state == procDone || p.state == procRunning || ev.epoch != p.epoch {
+				continue // stale wakeup (finished proc or superseded event)
+			}
+			p.state = procRunning
+			p.epoch++ // invalidate any sibling wakeups for the old park
+			return p
+		}
+		ev.fn()
+	}
+	return nil
+}
+
+// recoverCallback is dispatch's deferred half: it ends the run on a
+// callback panic, recording the value for RunErr to re-raise.
+func (e *Engine) recoverCallback() {
+	if r := recover(); r != nil {
+		e.stop, e.stopProc, e.stopPanic = stopPanic, nil, r
+	}
+}
+
+// handoff passes the token to next, or back to the Run caller when the
+// run is over (next == nil).
+func (e *Engine) handoff(next *Proc) {
+	if next != nil {
+		next.resume <- struct{}{}
+	} else {
+		e.done <- struct{}{}
+	}
+}
+
 // Idle reports whether the engine has no pending events.
 func (e *Engine) Idle() bool { return len(e.events) == 0 }
 
@@ -385,24 +462,22 @@ func (e *Engine) Events() int64 { return e.processed }
 // that ends early — cancel poll, cycle Limit, proc failure, deadlock —
 // abandons its sibling procs parked on resume channels that will never
 // fire again; a long-running host (the job service) would leak one
-// goroutine per PE per aborted run. Shutdown wakes each parked proc
-// with the killed flag set, which makes it unwind via runtime.Goexit
-// (running its deferred cleanups, skipping the rest of its body) and
-// report done. The engine is unusable afterwards. Shutdown is
-// idempotent and safe on a cleanly finished engine (every proc already
-// done); it must not be called while Run is in progress.
+// goroutine per PE per aborted run. Shutdown hands each parked proc the
+// token with the killed flag set, which makes it unwind via
+// runtime.Goexit (running its deferred cleanups, skipping the rest of
+// its body; a cleanup that parks again unwinds at once) and hand the
+// token back. The engine is unusable afterwards. Shutdown is idempotent
+// and safe on a cleanly finished engine (every proc already done); it
+// must not be called while Run is in progress.
 func (e *Engine) Shutdown() {
 	if e.running {
 		panic("sim: Shutdown called during Run")
 	}
 	for _, p := range e.procs {
-		p.killed = true
-		// A teardown defer may legally park once more (yieldBlocked);
-		// keep resuming until the goroutine reports done.
-		for p.state != procDone {
-			p.state = procRunning
+		if p.state != procDone {
+			p.killed = true
 			p.resume <- struct{}{}
-			<-e.yield
+			<-e.done
 		}
 	}
 	e.procs = nil

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"fmt"
+	"math/rand"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -326,6 +328,108 @@ func TestPropertyEventsFireInTimeOrder(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
+}
+
+func TestPropertyCallbacksAndWakeupsFireInScheduleOrder(t *testing.T) {
+	// Property: callbacks and proc wakeups, scheduled from procs and
+	// from callbacks at delays of 0–2 cycles (so most times tie), fire
+	// at their due times in strictly increasing (time, scheduling index)
+	// order, whichever goroutine holds the token when they are popped.
+	type stamp struct {
+		at  Time
+		idx int
+	}
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		e := NewEngine()
+		var fired []stamp
+		scheduled, late := 0, false
+		record := func(due Time, idx int) {
+			late = late || e.Now() != due
+			fired = append(fired, stamp{e.Now(), idx})
+		}
+		var schedule func(depth int)
+		schedule = func(depth int) {
+			due, idx := e.Now()+Time(rng.Intn(3)), scheduled
+			scheduled++
+			e.At(due, func() {
+				record(due, idx)
+				if depth > 0 && rng.Intn(2) == 0 {
+					schedule(depth - 1)
+				}
+			})
+		}
+		for i := 0; i < 4; i++ {
+			e.Spawn(fmt.Sprintf("p%d", i), func(p *Proc) {
+				for k := 0; k < 20; k++ {
+					if rng.Intn(3) == 0 {
+						schedule(2)
+					}
+					d, idx := Time(rng.Intn(3)), scheduled
+					scheduled++
+					due := p.Now() + d
+					if d == 0 {
+						p.Yield()
+					} else {
+						p.Wait(d)
+					}
+					record(due, idx)
+				}
+			})
+		}
+		e.Run()
+		for i := 1; i < len(fired); i++ {
+			a, b := fired[i-1], fired[i]
+			if b.at < a.at || b.at == a.at && b.idx <= a.idx {
+				return false
+			}
+		}
+		return !late && len(fired) == scheduled
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestKernelHotPathsDoNotAllocate pins the event kernel's steady state
+// at zero allocations, once the heap's backing array and the signal's
+// waiter slice have grown: scheduling and popping a callback, and a
+// proc's Wait (its wakeup event plus the token handoffs around it).
+func TestKernelHotPathsDoNotAllocate(t *testing.T) {
+	e := NewEngine()
+	nop := func() {}
+	atPop := func() {
+		for i := 0; i < 64; i++ {
+			e.At(e.Now()+Time(i%8), nop)
+		}
+		e.Run()
+	}
+	atPop()
+	if a := testing.AllocsPerRun(50, atPop); a != 0 {
+		t.Errorf("At + pop: %v allocations per 64 events, want 0", a)
+	}
+
+	const waits = 100
+	start := NewSignal("start")
+	e.SpawnDaemon("waiter", func(p *Proc) {
+		for {
+			p.WaitSignal(start)
+			for i := 0; i < waits; i++ {
+				p.Wait(1)
+			}
+		}
+	})
+	fire := func() { start.Fire(e) }
+	round := func() {
+		e.At(e.Now(), fire)
+		e.Run()
+	}
+	e.Run() // the waiter parks on start
+	round()
+	if a := testing.AllocsPerRun(50, round); a != 0 {
+		t.Errorf("proc Wait: %v allocations per %d waits, want 0", a, waits)
+	}
+	e.Shutdown()
 }
 
 func TestDeadlockDiagnosticContents(t *testing.T) {

@@ -15,9 +15,9 @@ const (
 	procDone                     // body returned
 )
 
-// Proc is a simulated thread of control. Procs run one at a time under
-// strict handoff with the engine; all methods must be called from the
-// proc's own body.
+// Proc is a simulated thread of control. Procs run one at a time, each
+// on its own goroutine, passing the engine's execution token between
+// them; all methods must be called from the proc's own body.
 type Proc struct {
 	eng    *Engine
 	name   string
@@ -128,16 +128,48 @@ func (p *Proc) Engine() *Engine { return p.eng }
 // Now reports the current simulated time.
 func (p *Proc) Now() Time { return p.eng.now }
 
-// park hands control back to the engine and blocks until resumed.
+// park blocks p until its next wakeup. p holds the execution token, so
+// it runs the event loop itself: if its own wakeup comes next it returns
+// with no goroutine switch, otherwise it hands the token on and waits
+// for it to come back.
 func (p *Proc) park(st procState) {
-	p.state = st
-	p.eng.yield <- yieldMsg{kind: yieldBlocked, proc: p}
-	<-p.resume
 	if p.killed {
-		// Engine.Shutdown is reaping this proc: terminate the goroutine,
-		// running deferred cleanups on the way out. Goexit (not a panic)
-		// so no recover in user code can intercept the teardown.
+		// A teardown defer parked again during Engine.Shutdown: keep
+		// unwinding instead of running events.
 		runtime.Goexit()
+	}
+	p.state = st
+	e := p.eng
+	if next := e.dispatch(); next != p {
+		e.handoff(next)
+		<-p.resume
+		if p.killed {
+			// Engine.Shutdown is reaping this proc: terminate the
+			// goroutine, running deferred cleanups on the way out. Goexit
+			// (not a panic) so no recover in user code can intercept the
+			// teardown.
+			runtime.Goexit()
+		}
+	}
+}
+
+// exit is deferred by p's goroutine and runs when its body returns,
+// panics or is unwound by Shutdown. It passes the token on: back to the
+// Shutdown caller when p was killed, back to the Run caller with the
+// failure recorded when p panicked, and otherwise to whatever the event
+// loop reaches next.
+func (p *Proc) exit() {
+	r := recover()
+	p.state = procDone
+	e := p.eng
+	switch {
+	case p.killed:
+		e.done <- struct{}{}
+	case r != nil:
+		e.stop, e.stopProc, e.stopPanic = stopPanic, p, r
+		e.done <- struct{}{}
+	default:
+		e.handoff(e.dispatch())
 	}
 }
 

@@ -45,6 +45,45 @@ func TestShutdownReapsAbandonedProcs(t *testing.T) {
 	}
 }
 
+// TestCallbackPanicOnProcGoroutine: a callback that panics while a
+// proc's goroutine holds the token (popped by that proc's park) is
+// re-raised from Run on the caller's goroutine with its original value,
+// a recover in the proc's body never sees it, and Shutdown afterwards
+// reaps every goroutine.
+func TestCallbackPanicOnProcGoroutine(t *testing.T) {
+	type boom struct{ run int }
+	before := countGoroutines()
+	for i := 0; i < 8; i++ {
+		e := NewEngine()
+		sig := NewSignal("never")
+		for j := 0; j < 4; j++ {
+			e.Spawn("waiter", func(p *Proc) { p.WaitSignal(sig) })
+		}
+		var seen any
+		e.Spawn("holder", func(p *Proc) {
+			defer func() { seen = recover() }()
+			e.At(5, func() { panic(boom{i}) })
+			p.Wait(10)
+		})
+		got := func() (r any) {
+			defer func() { r = recover() }()
+			e.Run()
+			return nil
+		}()
+		if got != (boom{i}) {
+			t.Fatalf("Run panicked with %v, want %v", got, boom{i})
+		}
+		e.Shutdown()
+		if seen != nil {
+			t.Fatalf("the proc body recovered %v", seen)
+		}
+	}
+	after := countGoroutines()
+	if after > before+2 {
+		t.Fatalf("goroutines leaked: %d before, %d after", before, after)
+	}
+}
+
 // TestShutdownRunsTeardownDefers: a reaped proc unwinds via Goexit, so
 // its deferred cleanups still run and a recover cannot intercept it.
 func TestShutdownRunsTeardownDefers(t *testing.T) {
@@ -68,6 +107,35 @@ func TestShutdownRunsTeardownDefers(t *testing.T) {
 	e.Shutdown()
 	if !cleaned {
 		t.Fatal("deferred cleanup did not run during Shutdown")
+	}
+}
+
+// TestShutdownTeardownThatParksAgain: a cleanup that parks while its
+// proc is being reaped unwinds at once, the cleanups deferred before it
+// still run, and the goroutine exits.
+func TestShutdownTeardownThatParksAgain(t *testing.T) {
+	before := countGoroutines()
+	e := NewEngine()
+	sig := NewSignal("never")
+	outer, resumed := false, false
+	e.Spawn("waiter", func(p *Proc) {
+		defer func() { outer = true }()
+		defer func() {
+			p.Wait(5)
+			resumed = true
+		}()
+		p.WaitSignal(sig)
+	})
+	e.Spawn("failer", func(p *Proc) { panic(errors.New("abort")) })
+	if _, err := e.RunErr(); err == nil {
+		t.Fatal("want proc failure")
+	}
+	e.Shutdown()
+	if !outer || resumed {
+		t.Fatalf("outer cleanup ran = %v, parked cleanup resumed = %v; want true, false", outer, resumed)
+	}
+	if after := countGoroutines(); after > before {
+		t.Fatalf("goroutines leaked: %d before, %d after", before, after)
 	}
 }
 

@@ -486,17 +486,20 @@ func (r *Recovery) awaitRollback(c *Ctx) bool {
 }
 
 // rollbackQuiesce drains this PE's local hardware without any global
-// cooperation: outstanding prefetch responses are discarded into the
-// void, buffered writes drain and acknowledge (the hardware outlives the
-// crash), BLT transfers finish, and reliable-mode write records and
-// pending audits — which describe an epoch being abandoned — are
-// discarded. The discard variants of the drain primitives swallow ECC
-// poison rather than trapping: the damaged data is being rolled away,
-// and a re-trap here would wedge the rollback itself.
+// cooperation: the memory barrier pushes every fetch hint out of the
+// write buffer, then outstanding prefetch responses are discarded into
+// the void (as in drainGets, popping before the MB would leave hints
+// to land in the emptied FIFO and overflow it on replay), buffered
+// writes drain and acknowledge (the hardware outlives the crash), BLT
+// transfers finish, and reliable-mode write records and pending audits
+// — which describe an epoch being abandoned — are discarded. The
+// discard variants of the drain primitives swallow ECC poison rather
+// than trapping: the damaged data is being rolled away, and a re-trap
+// here would wedge the rollback itself.
 func (r *Recovery) rollbackQuiesce(c *Ctx) {
+	c.Node.CPU.MB(c.P)
 	c.Node.Shell.DiscardPrefetches(c.P)
 	c.gets = nil
-	c.Node.CPU.MB(c.P)
 	c.Node.Shell.WaitWritesComplete(c.P)
 	c.Node.Shell.BLTDiscard(c.P)
 	c.relPending = nil
