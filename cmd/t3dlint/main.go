@@ -1,7 +1,7 @@
 // Command t3dlint runs the simulator's compiler-perspective invariant
 // suite (internal/analysis) over module packages: the Split-C
 // split-phase sync discipline (interprocedural, summary-based),
-// deterministic-replay rules, the deadline/partition/poison error
+// deterministic-replay rules, the partition/poison/service error
 // taxonomy, simulated-time-only cycle accounting, the cross-proc
 // shared-state inventory, and the //t3d:hotpath allocation-free gate.
 //

@@ -2,54 +2,14 @@ package am
 
 // This file is the overload-robustness half of the reliable layer: the
 // AIMD congestion window that replaces the static per-destination clamp
-// when Config.Adaptive is set, the bounded pending queues behind
-// SendAsync with explicit load shedding, and the congestion-echo ack
-// path. The control loop is the classic ECN one mapped onto the T3D's
-// primitives: the network marks data packets that queued past the mark
-// threshold (net.Config.MarkThreshold), the receiving shell latches the
-// mark per source, the receiver echoes it in the high bit of the ack
-// word it already publishes, and the sender halves its window on an echo
-// (or collapses it to MinWindow on a retransmission timeout) and grows
-// it by one message per clean round trip otherwise.
-
-import (
-	"errors"
-	"fmt"
-
-	"repro/internal/sim"
-)
-
-// ErrOverload reports that the layer shed a message instead of queueing
-// it: the destination's pending queue is full. Unlike ErrDeadline it is
-// known before any network traffic is spent; callers should back off for
-// the RetryAfter hint and resubmit.
-var ErrOverload = errors.New("am: overloaded")
-
-// OverloadError is the concrete load-shedding failure returned by
-// SendAsync when a destination's pending queue is full. It unwraps to
-// ErrOverload so errors.Is works across layers.
-type OverloadError struct {
-	From, To   int      // sender and saturated destination PE
-	Pending    int      // messages already queued for the destination
-	RetryAfter sim.Time // hint: cycles until window space is plausible
-}
-
-func (e *OverloadError) Error() string {
-	return fmt.Sprintf("am: PE %d shed message to PE %d (%d pending, retry after %d cycles)",
-		e.From, e.To, e.Pending, e.RetryAfter)
-}
-
-func (e *OverloadError) Unwrap() error { return ErrOverload }
-
-// pendingMsg is one SendAsync message waiting for window space. The
-// enqueue time orders the queue (oldest first) and starts the message's
-// TTL clock, so a message that waited out its whole budget in the queue
-// is shed locally instead of wasting fabric capacity.
-type pendingMsg struct {
-	id   int
-	args [4]uint64
-	enq  sim.Time
-}
+// when Config.Adaptive is set, and the congestion-echo ack path. The
+// control loop is the classic ECN one mapped onto the T3D's primitives:
+// the network marks data packets that queued past the mark threshold
+// (net.Config.MarkThreshold), the receiving shell latches the mark per
+// source, the receiver echoes it in the high bit of the ack word it
+// already publishes, and the sender halves its window on an echo (or
+// collapses it to MinWindow on a retransmission timeout) and grows it by
+// one message per clean round trip otherwise.
 
 // window is the effective in-flight bound for dst: the static
 // CreditWindow clamp, tightened by the AIMD congestion window in
@@ -70,85 +30,6 @@ func (ep *Endpoint) window(dst int) int {
 		ep.MaxWindow = w
 	}
 	return w
-}
-
-// pendingLen reports dst's pending-queue depth (0 outside adaptive mode).
-func (ep *Endpoint) pendingLen(dst int) int {
-	if ep.pending == nil {
-		return 0
-	}
-	return len(ep.pending[dst])
-}
-
-// Pending exposes pendingLen for tests and experiments.
-func (ep *Endpoint) Pending(dst int) int { return ep.pendingLen(dst) }
-
-// Window exposes the current effective window for tests and experiments.
-func (ep *Endpoint) Window(dst int) int { return ep.window(dst) }
-
-// pump posts queued SendAsync messages while the window has room,
-// oldest first. A message whose TTL already ran out while queued is shed
-// here — transmitting it would spend congested fabric capacity on a
-// dispatch the receiver is bound to refuse.
-func (ep *Endpoint) pump(dst int) {
-	if ep.pending == nil {
-		return
-	}
-	for len(ep.pending[dst]) > 0 && len(ep.unacked[dst]) < ep.window(dst) {
-		pm := ep.pending[dst][0]
-		ep.pending[dst] = ep.pending[dst][1:]
-		if ttl := ep.cfg.MessageTTL; ttl > 0 && ep.c.P.Now() > pm.enq+ttl {
-			ep.Shed++
-			ep.Expired++
-			continue
-		}
-		ep.post(dst, pm.id, pm.args, pm.enq)
-	}
-}
-
-// SendAsync deposits a reliable message without blocking for window
-// space: if the destination's window is open it transmits immediately,
-// otherwise the message joins dst's bounded pending queue and is
-// transmitted (oldest first) as acknowledgements open the window. A full
-// queue sheds the message with an *OverloadError instead of queueing
-// without bound — under sustained overload the caller learns immediately
-// and can back off, rather than discovering minutes of queued work
-// later. In non-reliable mode it is a plain Send.
-func (ep *Endpoint) SendAsync(dst, id int, args [4]uint64) error {
-	if !ep.cfg.Reliable || ep.pending == nil {
-		ep.Send(dst, id, args)
-		return nil
-	}
-	now := ep.c.P.Now()
-	if len(ep.pending[dst]) == 0 && len(ep.unacked[dst]) < ep.window(dst) {
-		ep.post(dst, id, args, now)
-		return nil
-	}
-	// Queue or shed on local state only: refreshing the remote ack word
-	// costs a round trip, which is exactly what the caller chose async
-	// to avoid.
-	if len(ep.pending[dst]) >= ep.cfg.MaxPending {
-		ep.Shed++
-		return &OverloadError{
-			From: ep.c.MyPE(), To: dst,
-			Pending:    len(ep.pending[dst]),
-			RetryAfter: ep.cfg.RetryTimeout,
-		}
-	}
-	ep.pending[dst] = append(ep.pending[dst], pendingMsg{id: id, args: args, enq: now})
-	return nil
-}
-
-// Progress drives the sender side without submitting new work: it polls
-// the receive queue once and, if dst has traffic in flight or queued,
-// refreshes its ack word (retiring, stepping the window, and pumping the
-// pending queue). Callers running an open-loop load use it to let the
-// control loop breathe between submissions.
-func (ep *Endpoint) Progress(dst int) {
-	ep.Poll()
-	if ep.cfg.Reliable && (len(ep.unacked[dst]) > 0 || ep.pendingLen(dst) > 0) {
-		ep.refreshAck(dst)
-	}
 }
 
 // publishAck writes this node's ack word for src: the highest in-order

@@ -114,18 +114,11 @@ type Config struct {
 	// QueueSlots/4.
 	MarkDepth int
 
-	// MaxPending bounds the per-destination queue of SendAsync messages
-	// waiting for window space. A full queue sheds new messages with an
-	// *OverloadError carrying a retry-after hint instead of letting the
-	// backlog grow without bound. Defaults to 4x the effective window.
-	MaxPending int
-
 	// MessageTTL is the per-message delivery budget: a message that has
 	// not been dispatched within TTL cycles of being submitted is expired
 	// — the receiver acknowledges it (so the sender retires it without a
-	// retransmit storm) but does not run its handler, and a queued
-	// message already past its budget is shed before transmission. Zero
-	// means messages never expire.
+	// retransmit storm) but does not run its handler. Zero means messages
+	// never expire.
 	MessageTTL sim.Time
 }
 
@@ -230,12 +223,9 @@ type Endpoint struct {
 	stuckHead  int64 // dead-slot tracking: head value being timed, -1 if none
 	stuckSince sim.Time
 
-	// Adaptive-mode state: the per-destination AIMD congestion window
-	// (clamped to [MinWindow, CreditWindow] when used) and the bounded
-	// per-destination queues of SendAsync messages awaiting window space,
-	// drained oldest-first so age sets priority.
-	cwnd    []float64
-	pending [][]pendingMsg
+	// Adaptive-mode state: the per-destination AIMD congestion window,
+	// clamped to [MinWindow, CreditWindow] when used.
+	cwnd []float64
 
 	handlers map[int]Handler
 
@@ -254,12 +244,11 @@ type Endpoint struct {
 	// sender saw echoed in ack words.
 	PoisonDrops, PoisonEchoes int64
 	// Overload stats: Marks counts congestion echoes received in ack
-	// words, Shed messages rejected or dropped by load shedding, Expired
-	// messages retired past their deadline without dispatch, and
-	// MaxWindow is the high-water mark of the effective adaptive window
-	// (never above the static CreditWindow clamp).
-	Marks, Shed, Expired int64
-	MaxWindow            int
+	// words, Expired messages retired past their deadline without
+	// dispatch, and MaxWindow is the high-water mark of the effective
+	// adaptive window (never above the static CreditWindow clamp).
+	Marks, Expired int64
+	MaxWindow      int
 }
 
 // New creates the endpoint for c's processor. Collective: every thread
@@ -313,9 +302,6 @@ func New(c *splitc.Ctx, cfg Config) *Endpoint {
 		if cfg.MinWindow > cfg.CreditWindow {
 			cfg.MinWindow = cfg.CreditWindow
 		}
-		if cfg.MaxPending <= 0 {
-			cfg.MaxPending = 4 * cfg.CreditWindow
-		}
 		if cfg.MarkDepth <= 0 {
 			cfg.MarkDepth = cfg.QueueSlots / 4
 		}
@@ -350,7 +336,6 @@ func New(c *splitc.Ctx, cfg Config) *Endpoint {
 		for i := range ep.cwnd {
 			ep.cwnd[i] = init
 		}
-		ep.pending = make([][]pendingMsg, c.NProc())
 	}
 	ep.handlers[HStore] = handleStore(ep)
 	ep.handlers[HByteWrite] = handleByteWrite
@@ -406,7 +391,6 @@ func (ep *Endpoint) Send(dst, id int, args [4]uint64) {
 		// Flow control: wait for the destination to publish enough
 		// consumption of our messages, servicing our own queue meanwhile.
 		for ep.sentTo[dst]-ep.knownCred[dst] >= w {
-			c.P.CheckDeadline("am credit wait")
 			ep.knownCred[dst] = c.Read(splitc.Global(dst, ep.creditBase+int64(c.MyPE())*8))
 			if ep.sentTo[dst]-ep.knownCred[dst] >= w {
 				ep.Poll()
@@ -425,28 +409,21 @@ func (ep *Endpoint) Send(dst, id int, args [4]uint64) {
 	}
 	// Header written last: separate line, drains after the data.
 	c.Put(base.AddLocal(32), headerWord(c.MyPE(), id))
-	//lint:allow hotalloc Sync's drain formats only through the prefetch-pop tracer; a zero-cost disarmed Trace is ROADMAP item 5(b) (typed trace)
+	//lint:allow hotalloc Sync reaches shell.PopPrefetch's wait closure through Ctx.drainGets only while the caller has split-phase gets outstanding; the deposit itself issues none, and closure-free shell transactions are ROADMAP item 1(c)
 	c.Sync()
 }
 
-// sendReliable is the Reliable-mode deposit path: wait for window space
-// (and, in adaptive mode, for earlier queued messages — age sets
-// priority), then post. The ack word published by the destination
-// doubles as the flow-control credit: the in-flight window is bounded by
-// CreditWindow, or by the smaller AIMD window in adaptive mode.
+// sendReliable is the Reliable-mode deposit path: wait for window space,
+// then assign the next sequence number, record the message for
+// retransmission, stamp its expiry from its submission time, and
+// transmit. The ack word published by the destination doubles as the
+// flow-control credit: the in-flight window is bounded by CreditWindow,
+// or by the smaller AIMD window in adaptive mode.
 func (ep *Endpoint) sendReliable(dst, id int, args [4]uint64) {
 	born := ep.c.P.Now()
-	for ep.pendingLen(dst) > 0 || len(ep.unacked[dst]) >= ep.window(dst) {
-		ep.c.P.CheckDeadline("am send window")
+	for len(ep.unacked[dst]) >= ep.window(dst) {
 		ep.awaitAck(dst)
 	}
-	ep.post(dst, id, args, born)
-}
-
-// post assigns the next sequence number, records the message for
-// retransmission, stamps its expiry from its submission time, and
-// transmits. Callers have already verified window space.
-func (ep *Endpoint) post(dst, id int, args [4]uint64, born sim.Time) {
 	ep.nextSeq[dst]++
 	m := relMsg{seq: ep.nextSeq[dst], id: id, args: args}
 	if ttl := ep.cfg.MessageTTL; ttl > 0 {
@@ -486,7 +463,6 @@ func (ep *Endpoint) transmit(dst int, m relMsg) {
 // inflate the window.
 func (ep *Endpoint) refreshAck(dst int) bool {
 	if len(ep.unacked[dst]) == 0 {
-		ep.pump(dst)
 		return true
 	}
 	c := ep.c
@@ -513,7 +489,6 @@ func (ep *Endpoint) refreshAck(dst int) bool {
 			ep.cwnd[dst] = aimdStep(ep.cwnd[dst], false, ep.cfg.MinWindow, ep.cfg.CreditWindow)
 		}
 	}
-	ep.pump(dst)
 	return progress || len(q) == 0
 }
 
@@ -526,23 +501,15 @@ func (ep *Endpoint) awaitAck(dst int) {
 	c := ep.c
 	timeout := ep.cfg.RetryTimeout
 	for retries := 0; ; retries++ {
-		c.P.CheckDeadline("am ack wait")
 		if ep.refreshAck(dst) {
 			return
 		}
 		deadline := c.P.Now() + timeout
 		for c.P.Now() < deadline {
-			c.P.CheckDeadline("am ack wait")
 			if ep.Poll() {
 				continue // a message may carry work that unblocks dst
 			}
-			// Cap the park at the proc's own deadline so expiry is
-			// noticed the cycle it happens, not a retry period later.
-			limit := deadline
-			if d := c.P.Deadline(); d != 0 && d < limit {
-				limit = d
-			}
-			if !c.P.WaitSignalTimeout(c.Node.Shell.ArrivalSignal(), limit-c.P.Now()) && c.P.Now() >= deadline {
+			if !c.P.WaitSignalTimeout(c.Node.Shell.ArrivalSignal(), deadline-c.P.Now()) && c.P.Now() >= deadline {
 				break
 			}
 		}
@@ -583,7 +550,7 @@ func (ep *Endpoint) Flush() {
 		return
 	}
 	for dst := range ep.unacked {
-		for len(ep.unacked[dst]) > 0 || ep.pendingLen(dst) > 0 {
+		for len(ep.unacked[dst]) > 0 {
 			ep.awaitAck(dst)
 		}
 	}
@@ -596,7 +563,7 @@ func (ep *Endpoint) Flush() {
 //t3d:hotpath
 func (ep *Endpoint) Poll() bool {
 	if ep.cfg.Reliable {
-		//lint:allow hotalloc the reliable dispatch path formats only in its unknown-handler misuse panic
+		//lint:allow hotalloc the checked slot loads reach cpu.loadRemote's line-fill make through Load64Checked only for a remote address; the receive queue is local, so a poll never builds it
 		return ep.pollReliable()
 	}
 	c := ep.c
@@ -621,7 +588,6 @@ func (ep *Endpoint) Poll() bool {
 	c.Node.CPU.Store64(c.P, ep.creditBase+int64(src)*8, ep.consumed[src])
 	h, ok := ep.handlers[id]
 	if !ok {
-		//lint:allow hotalloc unknown-handler misuse panic; registered dispatch never formats
 		panic(fmt.Sprintf("am: PE %d received message for unknown handler %d", c.MyPE(), id))
 	}
 	h(c, src, args)

@@ -1,7 +1,6 @@
 package am
 
 import (
-	"errors"
 	"testing"
 
 	"repro/internal/machine"
@@ -44,59 +43,6 @@ func TestAdaptiveWindowNeverExceedsStaticShare(t *testing.T) {
 		if ep.MaxWindow < 1 {
 			t.Errorf("PE %d never opened a window (MaxWindow %d)", pe, ep.MaxWindow)
 		}
-	}
-}
-
-// TestSendAsyncShedsWhenSaturated: with the window full and the bounded
-// pending queue full, SendAsync must shed deterministically with an
-// *OverloadError (wrapping ErrOverload) rather than queue without bound
-// — and everything accepted must still be delivered exactly once.
-func TestSendAsyncShedsWhenSaturated(t *testing.T) {
-	const submit = 10
-	rt := newRT(2)
-	cfg := AdaptiveConfig()
-	cfg.CreditWindow = 2
-	cfg.MaxPending = 2
-	var delivered uint64
-	var shed int
-	var sender *Endpoint
-	rt.Run(func(c *splitc.Ctx) {
-		ep := New(c, cfg)
-		if c.MyPE() == 0 {
-			ep.Register(HUser, func(c *splitc.Ctx, src int, args [4]uint64) { delivered += args[0] })
-			ep.PollUntil(func() bool { return int(ep.Received) == cfg.CreditWindow+cfg.MaxPending })
-			return
-		}
-		sender = ep
-		// SendAsync never refreshes acks on its own, so during this loop
-		// the window stays full after CreditWindow posts: 2 transmit, 2
-		// queue, the rest shed. Deterministic regardless of receiver pace.
-		for i := 1; i <= submit; i++ {
-			if err := ep.SendAsync(0, HUser, [4]uint64{uint64(i)}); err != nil {
-				var oe *OverloadError
-				if !errors.Is(err, ErrOverload) || !errors.As(err, &oe) {
-					t.Errorf("SendAsync returned %v, want *OverloadError wrapping ErrOverload", err)
-				} else if oe.RetryAfter <= 0 || oe.To != 0 {
-					t.Errorf("OverloadError = %+v, want positive RetryAfter for dst 0", oe)
-				}
-				shed++
-			}
-		}
-		if p := ep.Pending(0); p != cfg.MaxPending {
-			t.Errorf("pending queue holds %d, want %d", p, cfg.MaxPending)
-		}
-		ep.Flush()
-	})
-	accepted := cfg.CreditWindow + cfg.MaxPending
-	if shed != submit-accepted {
-		t.Errorf("shed %d of %d, want %d", shed, submit, submit-accepted)
-	}
-	if sender.Shed != int64(shed) {
-		t.Errorf("Shed stat = %d, caller saw %d errors", sender.Shed, shed)
-	}
-	// Messages 1..4 were accepted in order (age priority): their sum.
-	if want := uint64(accepted * (accepted + 1) / 2); delivered != want {
-		t.Errorf("delivered sum = %d, want %d (accepted messages lost or reordered)", delivered, want)
 	}
 }
 

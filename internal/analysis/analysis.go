@@ -29,7 +29,7 @@ type Analyzer struct {
 	// Doc is a one-paragraph description of what the pass enforces.
 	Doc string
 	// Run executes the pass over one package, reporting findings
-	// through pass.Reportf. Nil for module-level analyzers.
+	// through pass.ReportClassf. Nil for module-level analyzers.
 	Run func(pass *Pass) error
 	// RunModule, when set, executes the pass once over the whole
 	// module: the call graph and fact store let it compute summaries
@@ -80,11 +80,6 @@ type Diagnostic struct {
 
 func (d Diagnostic) String() string {
 	return fmt.Sprintf("%s:%d:%d: [%s] %s", d.File, d.Line, d.Col, d.Pass, d.Message)
-}
-
-// Reportf records a finding at pos.
-func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
-	p.ReportClassf(pos, "", format, args...)
 }
 
 // ReportClassf records a finding at pos tagged with a violation class.

@@ -135,12 +135,6 @@ type CallGraph struct {
 	sccs [][]*FuncNode
 }
 
-// NodeFor returns the graph node for a declared function, or nil.
-func (g *CallGraph) NodeFor(fn *types.Func) *FuncNode { return g.byObj[fn] }
-
-// NodeForLit returns the graph node for a function literal, or nil.
-func (g *CallGraph) NodeForLit(lit *ast.FuncLit) *FuncNode { return g.byLit[lit] }
-
 // SCCs returns the strongly connected components in bottom-up order:
 // by the time component i is visited, every function it calls outside
 // itself lives in some component j < i.

@@ -1,15 +1,19 @@
-// Package errtaxonomy enforces the three-error taxonomy the robustness
-// extensions introduced: sim.ErrDeadline (a simulated-cycle budget
-// expired, the operation is resumable), net.ErrPartitioned (the torus
-// is disconnected, the access can never complete), and mem.ErrPoisoned
-// (an uncorrectable memory error reached a consumer). The three demand
-// different responses — retry wider, fail fast, roll back — so callers
-// of the fallible shell/splitc/am/mem APIs must keep the verdicts
-// distinguishable all the way up the stack. Concretely the pass flags:
+// Package errtaxonomy enforces the error taxonomy the robustness
+// extensions introduced. The simulator has two verdicts:
+// net.ErrPartitioned (the torus is disconnected, the access can never
+// complete) and mem.ErrPoisoned (an uncorrectable memory error reached
+// a consumer). The job service adds its own: serve.ErrShed,
+// ErrQuotaExceeded and ErrJournalDegraded (come back later) and
+// ErrJobDeadline (the job's cycle or wall budget ran out). Each demands
+// a different response — fail fast, roll back, back off, resubmit with
+// a larger budget — so callers of the fallible shell/splitc/am/mem/serve
+// APIs must keep the verdicts distinguishable all the way up the stack.
+// Concretely the pass flags:
 //
 //   - comparing an error against a taxonomy sentinel with == or !=
-//     (wrapped errors — DeadlineError, PartitionError, PoisonError —
-//     make the comparison silently false; use errors.Is);
+//     (wrapped errors — PartitionError, PoisonError, ShedError,
+//     JobDeadlineError — make the comparison silently false; use
+//     errors.Is);
 //   - discriminating errors by text: err.Error() compared against a
 //     string, or fed to strings.Contains and friends (messages are not
 //     API; the sentinels are);
@@ -34,13 +38,12 @@ import (
 // Analyzer is the errtaxonomy pass.
 var Analyzer = &analysis.Analyzer{
 	Name: "errtaxonomy",
-	Doc:  "deadline/partition/poison verdicts must be discriminated with errors.Is and never discarded or string-matched",
+	Doc:  "partition/poison/service verdicts must be discriminated with errors.Is and never discarded or string-matched",
 	Run:  run,
 }
 
 // sentinels are the taxonomy roots, keyed by defining package path.
 var sentinels = map[string]map[string]bool{
-	"repro/internal/sim":   {"ErrDeadline": true},
 	"repro/internal/net":   {"ErrPartitioned": true},
 	"repro/internal/mem":   {"ErrPoisoned": true},
 	"repro/internal/serve": {"ErrShed": true, "ErrJobDeadline": true, "ErrJournalDegraded": true, "ErrQuotaExceeded": true},
@@ -95,7 +98,7 @@ func checkComparison(pass *analysis.Pass, b *ast.BinaryExpr) {
 	for _, side := range []ast.Expr{b.X, b.Y} {
 		if isErrorTextCall(pass, side) {
 			pass.ReportClassf(b.Pos(), "msg-compare",
-				"error discriminated by message text — messages are not API; use errors.Is against sim.ErrDeadline/net.ErrPartitioned/mem.ErrPoisoned")
+				"error discriminated by message text — messages are not API; use errors.Is against net.ErrPartitioned/mem.ErrPoisoned or the serve sentinels")
 			return
 		}
 	}
@@ -121,7 +124,7 @@ func checkStringMatch(pass *analysis.Pass, call *ast.CallExpr) {
 func checkDiscard(pass *analysis.Pass, call *ast.CallExpr, stmt *ast.ExprStmt) {
 	if fn := fallibleCallee(pass, call); fn != nil {
 		pass.ReportClassf(stmt.Pos(), "err-discard",
-			"error result of %s.%s discarded — it may carry a deadline/partition/poison verdict; handle or propagate it", fn.Pkg().Name(), fn.Name())
+			"error result of %s.%s discarded — it may carry a partition/poison/shed/deadline verdict; handle or propagate it", fn.Pkg().Name(), fn.Name())
 	}
 }
 
@@ -143,7 +146,7 @@ func checkBlankError(pass *analysis.Pass, as *ast.AssignStmt) {
 	last := as.Lhs[len(as.Lhs)-1]
 	if id, ok := ast.Unparen(last).(*ast.Ident); ok && id.Name == "_" {
 		pass.ReportClassf(as.Pos(), "err-discard",
-			"error result of %s.%s assigned to _ — it may carry a deadline/partition/poison verdict; handle or propagate it", fn.Pkg().Name(), fn.Name())
+			"error result of %s.%s assigned to _ — it may carry a partition/poison/shed/deadline verdict; handle or propagate it", fn.Pkg().Name(), fn.Name())
 	}
 }
 

@@ -2,13 +2,14 @@
 //
 // The benchmark (bench/) measures allocs/op on the hot paths — the
 // sim.at_pop_*, splitc.*, am.send_poll_* and shell.fetch_inc_* rungs
-// and the per-workload host.allocs_per_* — and the event-kernel cost
-// work (ROADMAP item 4) dies by a thousand heap cuts: one escaping
-// composite per event, one interface box per trace call, one closure
-// per wait. A function on such a path carries a //t3d:hotpath
-// annotation in its doc comment, and this pass enforces the contract
-// the annotation declares: nothing in the function's body — nor in any
-// helper it calls, up to the next annotated boundary — may allocate.
+// and the per-workload host.allocs_per_* — and the allocation work
+// (ROADMAP item 1(c), closure-free shell transactions) dies by a
+// thousand heap cuts: one escaping composite per event, one interface
+// box per formatted argument, one closure per wait. A function on such
+// a path carries a //t3d:hotpath annotation in its doc comment, and
+// this pass enforces the contract the annotation declares: nothing in
+// the function's body — nor in any helper it calls, up to the next
+// annotated boundary — may allocate.
 //
 // Flagged in an annotated function (function literals inside one
 // inherit the annotation — a closure runs on the same path):
@@ -25,12 +26,20 @@
 //     concatenation;
 //   - iface-box: a concrete non-pointer-shaped value (int, struct,
 //     string, slice) passed where an interface is expected — the
-//     canonical hidden allocation of a ...any trace call;
+//     canonical hidden allocation of a ...any formatting call;
 //   - calls-allocating: a call to an unannotated module function whose
 //     bottom-up summary contains any of the above (reported at the
 //     call site, naming the callee and a representative allocation),
 //     or to a standard-library function known to allocate (fmt,
 //     errors, strings, non-Append strconv, sort.Slice).
+//
+// The argument of the builtin panic is cold: building a panic's value
+// runs only on the way to a crash or a recovered failure, never on the
+// steady-state path, so nothing inside it is flagged — not its own
+// sites, not the summaries of module calls in it, not the standard
+// library scan. Only the argument expression is exempt: a value built
+// in an earlier statement and then handed to panic (msg :=
+// fmt.Sprintf(...); panic(msg)) is still flagged where it is built.
 //
 // Facts make the check interprocedural: every module function gets an
 // allocation summary computed bottom-up over the call graph's SCCs, so
@@ -137,11 +146,53 @@ func (h *hotPass) intrinsics(n *analysis.FuncNode) []site {
 				add(x.Pos(), "string-conv", "string concatenation")
 			}
 		case *ast.CallExpr:
+			if isPanic(info, x) {
+				return false
+			}
 			h.callSites(n, x, add)
 		}
 		return true
 	})
 	return sites
+}
+
+// isPanic reports whether call is the builtin panic.
+func isPanic(info *types.Info, call *ast.CallExpr) bool {
+	id, ok := ast.Unparen(call.Fun).(*ast.Ident)
+	if !ok || id.Name != "panic" {
+		return false
+	}
+	_, builtin := info.Uses[id].(*types.Builtin)
+	return builtin
+}
+
+// coldCalls returns the call expressions in n's own body (nested
+// literals excluded) that build a panic's argument: their callees'
+// summaries and standard-library allocations are not n's.
+func coldCalls(n *analysis.FuncNode) map[*ast.CallExpr]bool {
+	cold := map[*ast.CallExpr]bool{}
+	ast.Inspect(n.Body(), func(nn ast.Node) bool {
+		switch x := nn.(type) {
+		case *ast.FuncLit:
+			return false
+		case *ast.CallExpr:
+			if !isPanic(n.Pkg.Info, x) {
+				return true
+			}
+			for _, a := range x.Args {
+				ast.Inspect(a, func(an ast.Node) bool {
+					if c, ok := an.(*ast.CallExpr); ok {
+						cold[c] = true
+					}
+					_, lit := an.(*ast.FuncLit)
+					return !lit
+				})
+			}
+			return false
+		}
+		return true
+	})
+	return cold
 }
 
 // callSites classifies one call expression's own allocations: builtins,
@@ -209,8 +260,9 @@ func (h *hotPass) summarize(n *analysis.FuncNode) {
 	f := &fact{}
 	if !n.Hot {
 		f.sites = h.intrinsics(n)
+		cold := coldCalls(n)
 		for _, e := range n.Out {
-			if e.Kind != analysis.EdgeCall || e.Site == nil || len(f.sites) >= maxFactSites {
+			if e.Kind != analysis.EdgeCall || e.Site == nil || cold[e.Site] || len(f.sites) >= maxFactSites {
 				continue
 			}
 			if cs := h.calleeAllocs(n, e); len(cs) > 0 {
@@ -246,9 +298,9 @@ func (h *hotPass) calleeAllocs(n *analysis.FuncNode, e *analysis.Edge) []site {
 func (h *hotPass) report(n *analysis.FuncNode) {
 	for _, s := range h.intrinsics(n) {
 		h.mp.ReportClassf(s.pos, s.class,
-			"%s in //t3d:hotpath function %s — hot paths must be allocation-free (bench allocs/op gate, ROADMAP item 4); hoist it, pool it, or argue the case in a //lint:allow", s.what, n.Name)
+			"%s in //t3d:hotpath function %s — hot paths must be allocation-free (bench allocs/op gate, ROADMAP item 1(c)); hoist it, pool it, or argue the case in a //lint:allow", s.what, n.Name)
 	}
-	seen := map[*ast.CallExpr]bool{}
+	seen := coldCalls(n) // panic arguments: cold, never reported
 	for _, e := range n.Out {
 		if e.Kind != analysis.EdgeCall || e.Site == nil || seen[e.Site] {
 			continue

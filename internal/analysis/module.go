@@ -62,11 +62,6 @@ type ModulePass struct {
 	diags *[]Diagnostic
 }
 
-// Reportf records a finding at pos.
-func (p *ModulePass) Reportf(pos token.Pos, format string, args ...any) {
-	p.ReportClassf(pos, "", format, args...)
-}
-
 // ReportClassf records a finding at pos tagged with a violation class
 // (a stable machine-readable label like "shared-mutable" or
 // "iface-box" that survives message rewording).

@@ -1,7 +1,7 @@
 // Package splitphase enforces the Split-C sync-counter discipline from
 // the paper, statically: every split-phase operation a function issues
 // (Ctx.Get, Put, BulkGet, BulkPut) must be settled by a dominating
-// Sync, SyncWithin, AllStoreSync, or Barrier before the operation can
+// Sync, AllStoreSync, or Barrier before the operation can
 // escape the program — and the destination of a Get must not be read
 // locally while the get is still in flight.
 //
@@ -42,8 +42,6 @@
 //
 //   - Any sync operation settles every pending operation (the runtime
 //     distinguishes get/put/store counters; the lint does not).
-//   - Ctx.WithDeadline(budget, fn) counts as a sync when fn is known to
-//     sync (by summary, or syntactically for literals).
 //   - Calls within one SCC (recursion) are treated as no-ops; mutual
 //     recursion that launders sync obligations is a documented blind
 //     spot (DESIGN.md §16).
@@ -83,7 +81,7 @@ const passName = "splitphase"
 const splitcPath = "repro/internal/splitc"
 
 var issueOps = map[string]bool{"Get": true, "Put": true, "BulkGet": true, "BulkPut": true}
-var syncOps = map[string]bool{"Sync": true, "SyncWithin": true, "AllStoreSync": true, "Barrier": true}
+var syncOps = map[string]bool{"Sync": true, "AllStoreSync": true, "Barrier": true}
 var localReadNames = map[string]bool{
 	"Load64": true, "Load32": true, "Load8": true, "ReadWord": true, "ReadLocal": true,
 }
@@ -145,7 +143,7 @@ func runModule(mp *analysis.ModulePass) error {
 		}
 		sp.reported[o.call] = true
 		mp.ReportClassf(o.call.Pos(), "unsettled",
-			"split-phase %s is not settled by a dominating Sync/SyncWithin/AllStoreSync/Barrier on some path to function exit (Split-C sync-counter discipline)", o.op)
+			"split-phase %s is not settled by a dominating Sync/AllStoreSync/Barrier on some path to function exit (Split-C sync-counter discipline)", o.op)
 	}
 	return nil
 }
@@ -507,11 +505,6 @@ func (fc *funcCtx) applyCall(call *ast.CallExpr, st *state) {
 		case syncOps[name]:
 			settle(st)
 			return
-		case name == "WithDeadline":
-			if fc.argSyncs(call) {
-				settle(st)
-			}
-			return
 		}
 	}
 	// Local reads of an in-flight Get destination (own ops only: the
@@ -564,30 +557,6 @@ func (fc *funcCtx) applyCall(call *ast.CallExpr, st *state) {
 	}
 }
 
-// argSyncs reports whether a WithDeadline-style call's function
-// argument is known to sync: by summary when the argument resolves to a
-// module function or literal, or syntactically as a fallback.
-func (fc *funcCtx) argSyncs(call *ast.CallExpr) bool {
-	g := fc.sp.mp.Module.Graph
-	for _, a := range call.Args {
-		var n *analysis.FuncNode
-		switch a := ast.Unparen(a).(type) {
-		case *ast.FuncLit:
-			n = g.NodeForLit(a)
-		case *ast.Ident:
-			if f, ok := fc.info.Uses[a].(*types.Func); ok {
-				n = g.NodeFor(f)
-			}
-		}
-		if n != nil {
-			if f := fc.sp.calleeFact(fc.node, n); f != nil && f.alwaysSyncs {
-				return true
-			}
-		}
-	}
-	return litContainsSync(fc.info, call)
-}
-
 // terminates reports whether call never returns (panic, os.Exit).
 func (fc *funcCtx) terminates(call *ast.CallExpr) bool {
 	if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok && id.Name == "panic" {
@@ -603,27 +572,6 @@ func (fc *funcCtx) terminates(call *ast.CallExpr) bool {
 func isCtxMethod(fn *types.Func) bool {
 	pkg, tn := analysis.ReceiverNamed(fn)
 	return pkg == splitcPath && tn == "Ctx"
-}
-
-// litContainsSync reports whether any function-literal argument of call
-// syntactically contains a sync operation.
-func litContainsSync(info *types.Info, call *ast.CallExpr) bool {
-	found := false
-	for _, a := range call.Args {
-		lit, ok := a.(*ast.FuncLit)
-		if !ok {
-			continue
-		}
-		ast.Inspect(lit.Body, func(n ast.Node) bool {
-			if c, ok := n.(*ast.CallExpr); ok {
-				if fn := analysis.CalleeIn(info, c); fn != nil && isCtxMethod(fn) && syncOps[fn.Name()] {
-					found = true
-				}
-			}
-			return !found
-		})
-	}
-	return found
 }
 
 // rootVarOf returns the first variable mentioned in e — the "base" of a

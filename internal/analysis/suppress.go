@@ -75,20 +75,13 @@ func CollectAllows(fset *token.FileSet, pkg *Package, knownPasses map[string]boo
 	return allows, bad
 }
 
-// ApplySuppressions filters diags against allows: a diagnostic is
+// MarkSuppressions matches diags against allows: a diagnostic is
 // suppressed when an allow for its pass sits on the same line or on the
-// line directly above. It returns the surviving diagnostics plus one
-// "suppress" diagnostic per allow that matched nothing.
-func ApplySuppressions(diags []Diagnostic, allows []*Allow) []Diagnostic {
-	return Active(MarkSuppressions(diags, allows))
-}
-
-// MarkSuppressions matches diags against allows without dropping
-// anything: waived findings come back with Suppressed set and the
-// allow's reason attached, so the full set remains available as an
-// audit inventory (-json emits it; exit codes count active findings
-// only). One "suppress" diagnostic is appended per allow that matched
-// nothing.
+// line directly above. Nothing is dropped: waived findings come back
+// with Suppressed set and the allow's reason attached, so the full set
+// remains available as an audit inventory (-json emits it; exit codes
+// count active findings only). One "suppress" diagnostic is appended
+// per allow that matched nothing.
 func MarkSuppressions(diags []Diagnostic, allows []*Allow) []Diagnostic {
 	out := make([]Diagnostic, 0, len(diags))
 	for _, d := range diags {

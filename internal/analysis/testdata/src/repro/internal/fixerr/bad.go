@@ -10,18 +10,11 @@ import (
 	"repro/internal/net"
 	"repro/internal/serve"
 	"repro/internal/shell"
-	"repro/internal/sim"
 	"repro/internal/splitc"
 )
 
-// compareDeadline tests identity against a sentinel: wrapped values
+// comparePartition tests identity against a sentinel: wrapped values
 // compare false.
-func compareDeadline(c *splitc.Ctx, g splitc.GlobalPtr) bool {
-	_, err := c.ReadWithin(g, 100)
-	return err == sim.ErrDeadline // want `ErrDeadline compared with ==`
-}
-
-// comparePartition: != has the same wrapping bug.
 func comparePartition(err error) bool {
 	return err != net.ErrPartitioned // want `ErrPartitioned compared with !=`
 }
@@ -69,8 +62,8 @@ func textMatch(err error) bool {
 }
 
 // discard throws a verdict-bearing error away as a bare statement.
-func discard(c *splitc.Ctx) {
-	c.SyncWithin(100) // want `error result of splitc.SyncWithin discarded`
+func discard(rt *splitc.Runtime, prog func(c *splitc.Ctx)) {
+	rt.RunErr(prog) // want `error result of splitc.RunErr discarded`
 }
 
 // discardShell: package-level fallible calls count too.
@@ -79,14 +72,14 @@ func discardShell() {
 }
 
 // blankError ships the value and drops the verdict.
-func blankError(c *splitc.Ctx, g splitc.GlobalPtr) uint64 {
-	v, _ := c.ReadWithin(g, 100) // want `error result of splitc.ReadWithin assigned to _`
-	return v
+func blankError(rt *splitc.Runtime, prog func(c *splitc.Ctx)) int64 {
+	t, _ := rt.RunErr(prog) // want `error result of splitc.RunErr assigned to _`
+	return t
 }
 
 // swallow tests the error and then ignores which error it was.
-func swallow(c *splitc.Ctx, g splitc.GlobalPtr) {
-	err := c.WriteWithin(g, 1, 100)
+func swallow(rt *splitc.Runtime, prog func(c *splitc.Ctx)) {
+	_, err := rt.RunErr(prog)
 	if err != nil { // want `err is checked non-nil but its verdict is dropped`
 		return
 	}

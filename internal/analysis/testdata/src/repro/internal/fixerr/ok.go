@@ -10,19 +10,16 @@ import (
 	"repro/internal/mem"
 	"repro/internal/net"
 	"repro/internal/serve"
-	"repro/internal/sim"
 	"repro/internal/splitc"
 )
 
-// discriminate mirrors the apps' retry loops: every verdict is tested
-// with errors.Is and the unknown case propagates.
-func discriminate(c *splitc.Ctx, g splitc.GlobalPtr) (uint64, error) {
-	v, err := c.ReadWithin(g, 100)
+// discriminate mirrors the hard-fault experiments: every verdict is
+// tested with errors.Is and the unknown case propagates.
+func discriminate(rt *splitc.Runtime, prog func(c *splitc.Ctx)) (int64, error) {
+	t, err := rt.RunErr(prog)
 	switch {
 	case err == nil:
-		return v, nil
-	case errors.Is(err, sim.ErrDeadline):
-		return 0, fmt.Errorf("fixerr: read timed out: %w", err)
+		return t, nil
 	case errors.Is(err, net.ErrPartitioned):
 		return 0, fmt.Errorf("fixerr: target unreachable: %w", err)
 	case errors.Is(err, mem.ErrPoisoned):
@@ -33,17 +30,18 @@ func discriminate(c *splitc.Ctx, g splitc.GlobalPtr) (uint64, error) {
 
 // propagate hands the verdict up unexamined — legal: the caller
 // discriminates.
-func propagate(c *splitc.Ctx) error {
-	return c.SyncWithin(100)
+func propagate(rt *splitc.Runtime, prog func(c *splitc.Ctx)) error {
+	_, err := rt.RunErr(prog)
+	return err
 }
 
 // wrapAndPanic uses the error inside the non-nil branch.
-func wrapAndPanic(c *splitc.Ctx, g splitc.GlobalPtr) uint64 {
-	v, err := c.ReadWithin(g, 100)
+func wrapAndPanic(rt *splitc.Runtime, prog func(c *splitc.Ctx)) int64 {
+	t, err := rt.RunErr(prog)
 	if err != nil {
 		panic(fmt.Sprintf("fixerr: unrecoverable: %v", err))
 	}
-	return v
+	return t
 }
 
 // submitWithBackoff mirrors a well-behaved t3dserve client: shed and

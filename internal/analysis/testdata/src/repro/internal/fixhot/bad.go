@@ -3,7 +3,10 @@
 // allocation sites.
 package fixhot
 
-import "strconv"
+import (
+	"fmt"
+	"strconv"
+)
 
 type event struct {
 	at int64
@@ -89,4 +92,13 @@ func callsTransitively() *event {
 //t3d:hotpath
 func formats(n int) string {
 	return strconv.Itoa(n) // want `//t3d:hotpath function fixhot.formats calls strconv.Itoa, which allocates`
+}
+
+// panicAfterFormat builds the message in a statement of its own: only
+// the argument of panic is cold, so the formatting is still flagged.
+//
+//t3d:hotpath
+func panicAfterFormat(e *event) {
+	msg := fmt.Sprintf("fixhot: bad event %p", e) // want `//t3d:hotpath function fixhot.panicAfterFormat calls fmt.Sprintf, which allocates`
+	panic(msg)
 }

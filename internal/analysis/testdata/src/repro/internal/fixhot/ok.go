@@ -2,6 +2,8 @@
 // the patterns the pass must not confuse with allocation.
 package fixhot
 
+import "fmt"
+
 // valueComposite: a plain value literal stays on the stack — the
 // non-escaping mirror of escapeComposite.
 //
@@ -57,4 +59,39 @@ func callsClean(x uint64) uint64 {
 // path, allocation is nobody's business.
 func coldAlloc() []int {
 	return []int{1, 2, 3}
+}
+
+// panicFormats: the argument of panic is cold. The formatting, the
+// boxing of n and the &composite run only on the way to a crash.
+//
+//t3d:hotpath
+func panicFormats(n int) {
+	if n < 0 {
+		panic(fmt.Sprintf("fixhot: negative %d", n))
+	}
+	if n > 1<<20 {
+		panic(&event{at: int64(n)})
+	}
+}
+
+// panicHelper is unannotated and allocates only in its panic argument,
+// so its summary is clean and its hot callers stay silent.
+func panicHelper(n int) int {
+	if n < 0 {
+		panic(fmt.Sprintf("fixhot: negative %d", n))
+	}
+	return n
+}
+
+//t3d:hotpath
+func callsPanicHelper(n int) int {
+	return panicHelper(n)
+}
+
+// panicCallsAllocating: a module call inside the panic argument is
+// cold too.
+//
+//t3d:hotpath
+func panicCallsAllocating() {
+	panic(allocHelper())
 }

@@ -32,21 +32,6 @@ func bulkPipeline(c *splitc.Ctx, g splitc.GlobalPtr, src int64) {
 	c.Barrier()
 }
 
-// syncWithinSettles: the deadline-bounded sync is still a sync.
-func syncWithinSettles(c *splitc.Ctx, g splitc.GlobalPtr, dst int64) error {
-	c.Get(dst, g)
-	return c.SyncWithin(500)
-}
-
-// deadlineBodySyncs: WithDeadline whose body syncs counts as a settle
-// at the call site.
-func deadlineBodySyncs(c *splitc.Ctx, g splitc.GlobalPtr, dst int64) error {
-	c.Get(dst, g)
-	return c.WithDeadline(1000, func() {
-		c.Sync()
-	})
-}
-
 // readAfterSync touches the landing zone only after the counter drains.
 func readAfterSync(c *splitc.Ctx, g splitc.GlobalPtr, dst int64) uint64 {
 	c.Get(dst, g)

@@ -4,5 +4,5 @@ package shell
 
 import "repro/internal/sim"
 
-// Wait mirrors a fallible deadline wait.
+// Wait mirrors a fallible package-level shell call.
 func Wait(budget sim.Time) error { return nil }

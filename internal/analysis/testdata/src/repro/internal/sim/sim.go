@@ -3,13 +3,8 @@
 // fixtures touch, with no behavior.
 package sim
 
-import "errors"
-
 // Time mirrors the event-kernel clock type.
 type Time = int64
-
-// ErrDeadline mirrors the deadline taxonomy sentinel.
-var ErrDeadline = errors.New("sim: deadline exceeded")
 
 // Proc mirrors a simulated processor context.
 type Proc struct{}

@@ -31,9 +31,6 @@ func (c *Ctx) BulkPut(g GlobalPtr, src, n int64)       {}
 func (c *Ctx) Sync()                                   {}
 func (c *Ctx) AllStoreSync()                           {}
 func (c *Ctx) Barrier()                                {}
-func (c *Ctx) SyncWithin(budget sim.Time) error        { return nil }
-
-func (c *Ctx) WithDeadline(budget sim.Time, fn func()) error { return nil }
 
 // MyPE mirrors the PE-identity query used for slotting and
 // single-writer guards.
@@ -46,7 +43,9 @@ type Runtime struct{}
 func (rt *Runtime) Run(program func(c *Ctx)) sim.Time           { return 0 }
 func (rt *Runtime) RunOn(pe int, program func(c *Ctx)) sim.Time { return 0 }
 
-func (c *Ctx) Read(g GlobalPtr) uint64                                  { return 0 }
-func (c *Ctx) Write(g GlobalPtr, v uint64)                              {}
-func (c *Ctx) ReadWithin(g GlobalPtr, budget sim.Time) (uint64, error)  { return 0, nil }
-func (c *Ctx) WriteWithin(g GlobalPtr, v uint64, budget sim.Time) error { return nil }
+// RunErr mirrors Run with the run's failure (partition, poison, proc
+// failure) returned as an error.
+func (rt *Runtime) RunErr(program func(c *Ctx)) (sim.Time, error) { return 0, nil }
+
+func (c *Ctx) Read(g GlobalPtr) uint64     { return 0 }
+func (c *Ctx) Write(g GlobalPtr, v uint64) {}

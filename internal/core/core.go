@@ -41,9 +41,6 @@ type Profile struct {
 	Curves []Curve
 }
 
-// AvgCycles converts a point's latency to cycles.
-func (p Point) AvgCycles() float64 { return p.AvgNS / cpu.NSPerCycle }
-
 // At returns the measured latency for an exact (size, stride), or false.
 func (pr *Profile) At(size, stride int64) (float64, bool) {
 	for _, c := range pr.Curves {
@@ -195,6 +192,7 @@ func SawtoothWorkstation(probe WSProbe, cfg SawtoothConfig) Profile {
 				}
 				avg = float64(p.Now()-start) / float64(int64(passes)*(size/stride)) * cpu.NSPerCycle
 			})
+			w.Eng.Shutdown() // reap the parked write-buffer proc, which keeps the 64 MB DRAM alive
 			curve.Points = append(curve.Points, Point{size, stride, avg})
 		}
 		prof.Curves = append(prof.Curves, curve)

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"runtime"
 	"testing"
+	"time"
 
 	"repro/internal/machine"
 )
@@ -110,6 +112,28 @@ func TestInferMemoryWorkstation(t *testing.T) {
 	}
 	if inf.MemoryNS < 250 || inf.MemoryNS > 360 {
 		t.Errorf("workstation memory time = %.1f ns, want ≈ 300", inf.MemoryNS)
+	}
+}
+
+// countGoroutines samples the goroutine count after giving exiting
+// goroutines a moment to unwind.
+func countGoroutines() int {
+	runtime.GC()
+	time.Sleep(10 * time.Millisecond)
+	return runtime.NumGoroutine()
+}
+
+// TestSawtoothWorkstationReapsProcs is the leak contract for the
+// workstation sweep: each point builds a 64 MB workstation whose
+// write-buffer drain proc stays parked after the probe returns, and
+// that parked goroutine keeps the whole machine reachable. The sweep
+// must shut each workstation down, so a one-point run leaves the
+// goroutine count where it found it.
+func TestSawtoothWorkstationReapsProcs(t *testing.T) {
+	before := countGoroutines()
+	SawtoothWorkstation(WSRead(), SawtoothConfig{Sizes: []int64{16}, MinAccesses: 8, WarmPasses: 1})
+	if after := countGoroutines(); after != before {
+		t.Errorf("goroutines: %d before a one-point workstation sweep, %d after", before, after)
 	}
 }
 

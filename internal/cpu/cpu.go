@@ -145,7 +145,6 @@ func (c *CPU) load(p *sim.Proc, va int64, size int) uint64 {
 	c.chargeStolen(p)
 	c.Loads++
 	if va%int64(size) != 0 {
-		//lint:allow hotalloc unaligned-access misuse panic; aligned steady-state loads never format
 		panic(fmt.Sprintf("cpu: unaligned %d-byte load at %#x", size, va))
 	}
 	pa := va // identity translation; the TLB charges time only
@@ -293,7 +292,6 @@ func (c *CPU) store(p *sim.Proc, va int64, v uint64, size int) {
 	c.chargeStolen(p)
 	c.Stores++
 	if va%int64(size) != 0 {
-		//lint:allow hotalloc unaligned-access misuse panic; aligned steady-state stores never format
 		panic(fmt.Sprintf("cpu: unaligned %d-byte store at %#x", size, va))
 	}
 	pa := va
@@ -301,7 +299,7 @@ func (c *CPU) store(p *sim.Proc, va int64, v uint64, size int) {
 		p.Wait(pen)
 	}
 	p.Wait(c.Costs.StoreIssue)
-	//lint:allow hotalloc per-store staging copy retained by the write buffer until drain; buffer pooling is ROADMAP item 4 (event-kernel costs)
+	//lint:allow hotalloc per-store staging copy retained by the write buffer until drain; buffer pooling is ROADMAP item 1(c) (closure-free shell transactions)
 	data := make([]byte, size)
 	putWord(data, v)
 	// Write-through: update a resident line (local or cached-remote).

@@ -42,12 +42,6 @@ type Config struct {
 	Audit bool
 }
 
-// PaperConfig is the Figure 9 workload: 500 nodes of degree 20 per
-// processor (16,000 nodes across 32 processors).
-func PaperConfig(remoteFrac float64) Config {
-	return Config{NodesPerPE: 500, Degree: 20, RemoteFrac: remoteFrac, Seed: 42, Iters: 3}
-}
-
 // edge is one dependence of a local E node on an H node.
 type edge struct {
 	hPE    int // owner of the H value

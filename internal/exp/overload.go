@@ -78,7 +78,7 @@ type IncastConfig struct {
 // was dispatched — the deadline contract makes it always zero.
 type IncastResult struct {
 	Cycles                            sim.Time
-	Offered, Delivered, Expired, Shed int64
+	Offered, Delivered, Expired       int64
 	Retransmits, Duplicates, Rejected int64
 	Marks, MarkedPackets              int64
 	MaxWindow                         int
@@ -175,7 +175,6 @@ func RunIncast(cfg IncastConfig) (IncastResult, error) {
 	for pe := 1; pe <= cfg.FanIn; pe++ {
 		res.Retransmits += eps[pe].Retransmits
 		res.Marks += eps[pe].Marks
-		res.Shed += eps[pe].Shed
 		if eps[pe].MaxWindow > res.MaxWindow {
 			res.MaxWindow = eps[pe].MaxWindow
 		}

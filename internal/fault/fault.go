@@ -379,7 +379,6 @@ func (in *Injector) Attach(m *machine.T3D) {
 		m.Eng.At(st.At, func() {
 			m.Nodes[st.PE].Shell.Steal(st.Cycles)
 			in.Stalled++
-			m.Eng.Trace("fault.stall", "pe%d stalled %d cycles", st.PE, st.Cycles)
 		})
 	}
 	for _, hl := range in.sched.HardLinks {
@@ -387,14 +386,12 @@ func (in *Injector) Attach(m *machine.T3D) {
 		m.Eng.At(hl.At, func() {
 			m.Net.FailLink(hl.Node, hl.Dir)
 			in.HardLinkFails++
-			m.Eng.Trace("fault.hardlink", "link pe%d dir%d dead at t=%d", hl.Node, hl.Dir, hl.At)
 		})
 	}
 	for _, hn := range in.sched.HardNodes {
 		hn := hn
 		m.Eng.At(hn.At, func() {
 			in.NodeCrashes++
-			m.Eng.Trace("fault.crash", "pe%d hard-fault at t=%d", hn.PE, hn.At)
 			if in.OnNodeCrash == nil {
 				panic(fmt.Sprintf("fault: node %d hard-faulted at t=%d with no crash handler installed (set Injector.OnNodeCrash)", hn.PE, hn.At))
 			}
@@ -438,11 +435,9 @@ func (in *Injector) attachMemory(m *machine.T3D) {
 			// word itself (SECDED territory).
 			if node.L1.FlipBits(addr, mask) {
 				in.CacheFlips++
-				m.Eng.Trace("fault.memflip", "pe%d L1 word %#x mask %#x", mf.PE, addr, mask)
 			} else {
 				node.DRAM.InjectFlip(addr, mask)
 				in.MemFlips++
-				m.Eng.Trace("fault.memflip", "pe%d dram word %#x mask %#x", mf.PE, addr, mask)
 			}
 		})
 	}

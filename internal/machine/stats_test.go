@@ -47,25 +47,3 @@ func TestStatsRender(t *testing.T) {
 		}
 	}
 }
-
-func TestMachineTraceEvents(t *testing.T) {
-	m := New(DefaultConfig(2))
-	var buf sim.TraceBuffer
-	m.Eng.SetTracer(buf.Add)
-	m.RunOn(0, func(p *sim.Proc, n *Node) {
-		n.Shell.SetAnnex(p, 1, 1, false)
-		n.CPU.Load64(p, addr.Make(1, 0))
-		n.CPU.FetchHint(p, addr.Make(1, 8))
-		n.CPU.MB(p)
-		n.Shell.PopPrefetch(p)
-	})
-	if len(buf.ByCategory("shell.annex")) != 1 {
-		t.Errorf("annex trace events: %d", len(buf.ByCategory("shell.annex")))
-	}
-	if len(buf.ByCategory("shell.read")) != 1 {
-		t.Errorf("read trace events: %d", len(buf.ByCategory("shell.read")))
-	}
-	if len(buf.ByCategory("shell.prefetch")) != 1 {
-		t.Errorf("prefetch trace events: %d", len(buf.ByCategory("shell.prefetch")))
-	}
-}

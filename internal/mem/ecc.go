@@ -39,9 +39,8 @@ import (
 // ErrPoisoned is the sentinel for an uncorrectable memory error: a read
 // observed a word whose SECDED syndrome reports a multi-bit fault, so
 // there is no trustworthy data to return. errors.Is(err, ErrPoisoned)
-// distinguishes it from sim.ErrDeadline (the data never arrived) and
-// net.ErrPartitioned (the data is unreachable): poisoned data arrived
-// and is provably wrong.
+// distinguishes it from net.ErrPartitioned (the data is unreachable):
+// poisoned data arrived and is provably wrong.
 var ErrPoisoned = errors.New("mem: uncorrectable memory error")
 
 // PoisonError reports which word poisoned which processor's read. It is

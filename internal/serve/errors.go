@@ -7,14 +7,12 @@ import (
 
 	"repro/internal/mem"
 	"repro/internal/net"
-	"repro/internal/sim"
 )
 
 // ErrShed reports that admission control refused a job: the queue is at
 // its bound or the AIMD window is closed. The request was not enqueued
 // and cost no simulation work; the client should back off for the
-// RetryAfter carried by the concrete *ShedError and resubmit — the
-// service-layer mirror of the extH bounded-queue shedding.
+// RetryAfter carried by the concrete *ShedError and resubmit.
 var ErrShed = errors.New("serve: overloaded, job shed")
 
 // ShedError is the concrete admission refusal: how loaded the service
@@ -166,12 +164,12 @@ func (c Class) String() string {
 
 // Classify maps a job failure onto the retry taxonomy. The
 // discrimination is by sentinel (errors.Is / errors.As), mirroring the
-// deadline/partition/poison discipline the errtaxonomy lint pass
-// enforces inside the simulator.
+// partition/poison discipline the errtaxonomy lint pass enforces inside
+// the simulator.
 func Classify(err error) Class {
 	var host *HostError
 	switch {
-	case errors.Is(err, ErrJobDeadline), errors.Is(err, sim.ErrDeadline):
+	case errors.Is(err, ErrJobDeadline):
 		return ClassDeadline
 	case errors.Is(err, ErrShed), errors.Is(err, ErrQuotaExceeded), errors.Is(err, ErrDraining),
 		errors.Is(err, ErrJournalDegraded), errors.As(err, &host):

@@ -46,14 +46,12 @@ func (b *Barrier) Arm(p *sim.Proc) BarrierTicket {
 	p.Wait(b.arm)
 	t := BarrierTicket{gen: b.arming}
 	b.armed++
-	b.eng.Trace("barrier", "arm %d/%d gen %d", b.armed, b.n, b.arming)
 	if b.armed == b.n {
 		b.armed = 0
 		b.arming++
 		b.eng.After(b.prop, func() {
 			b.gen++
 			b.Crossings++
-			b.eng.Trace("barrier", "wire high gen %d", b.gen)
 			b.highSig.Fire(b.eng)
 		})
 	}
@@ -69,10 +67,6 @@ func (b *Barrier) Wait(p *sim.Proc, t BarrierTicket) {
 // ticket's generation — the polling form of Wait, used by recovery code
 // that must keep servicing message queues while a barrier collects.
 func (b *Barrier) Done(t BarrierTicket) bool { return b.gen > t.gen }
-
-// HighSignal exposes the wire-high signal so pollers can sleep between
-// samples instead of spinning.
-func (b *Barrier) HighSignal() *sim.Signal { return b.highSig }
 
 // Reset clears partially collected arm bits after a rollback unwinds
 // procs that had armed the current generation but will arm again on
@@ -111,7 +105,6 @@ func (e *Eureka) Trigger(p *sim.Proc) {
 	e.eng.After(e.prop, func() {
 		if !e.high {
 			e.high = true
-			e.eng.Trace("eureka", "wire high")
 			e.highSig.Fire(e.eng)
 		}
 	})

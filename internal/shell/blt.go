@@ -43,7 +43,6 @@ func (s *Shell) bltStart(p *sim.Proc, dir BLTDir, peer int, localOff, remoteOff,
 	}
 	p.Wait(s.cfg.BLTTrap)
 	s.bltBusy = true
-	s.eng.Trace("shell.blt", "pe%d BLT dir=%d peer=%d %dB", s.pe, dir, peer, nbytes)
 
 	pace := s.cfg.BLTReadCycles
 	if dir == BLTWrite {
@@ -124,7 +123,6 @@ func (s *Shell) bltStart(p *sim.Proc, dir BLTDir, peer int, localOff, remoteOff,
 					remaining--
 					if remaining == 0 {
 						s.bltBusy = false
-						s.eng.Trace("shell.blt", "pe%d BLT complete", s.pe)
 						s.bltSig.Fire(s.eng)
 					}
 				})
@@ -139,7 +137,7 @@ func (s *Shell) bltStart(p *sim.Proc, dir BLTDir, peer int, localOff, remoteOff,
 // the destination words poisoned, so even a caller that swallows the
 // trap cannot read the damage silently.
 func (s *Shell) BLTWait(p *sim.Proc) {
-	sim.AwaitDeadline(p, s.bltSig, "blt completion", func() bool { return !s.bltBusy })
+	sim.Await(p, s.bltSig, func() bool { return !s.bltBusy })
 	if s.bltPoison {
 		a := s.bltPoisonAddr
 		s.bltPoison = false
@@ -151,7 +149,7 @@ func (s *Shell) BLTWait(p *sim.Proc) {
 // and clears any poison status without trapping — the epoch's data is
 // being rolled back anyway.
 func (s *Shell) BLTDiscard(p *sim.Proc) {
-	sim.AwaitDeadline(p, s.bltSig, "blt completion", func() bool { return !s.bltBusy })
+	sim.Await(p, s.bltSig, func() bool { return !s.bltBusy })
 	s.bltPoison = false
 }
 

@@ -21,7 +21,6 @@ func (s *Shell) SendMessage(p *sim.Proc, dest int, data [4]uint64) {
 		panic(fmt.Sprintf("shell: message to PE %d out of range", dest))
 	}
 	p.Wait(s.cfg.MsgSend)
-	s.eng.Trace("shell.msg", "pe%d send to pe%d", s.pe, dest)
 	m := Message{Src: s.pe, Data: data}
 	s.fab.Net.Send(s.pe, dest, s.cfg.MsgPayload, func() {
 		s.node(dest).Shell.receiveMessage(m)

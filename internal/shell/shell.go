@@ -182,11 +182,9 @@ func (s *Shell) SetDrainer(d Drainer) { s.drainer = d }
 //t3d:hotpath
 func (s *Shell) SetAnnex(p *sim.Proc, idx, pe int, cached bool) {
 	if idx <= 0 || idx >= addr.AnnexEntries {
-		//lint:allow hotalloc annex misuse panic; valid rebinds never format
 		panic(fmt.Sprintf("shell: annex index %d not writable", idx))
 	}
 	if pe < 0 || pe >= len(s.fab.Nodes) {
-		//lint:allow hotalloc annex misuse panic; valid rebinds never format
 		panic(fmt.Sprintf("shell: annex target PE %d out of range", pe))
 	}
 	if s.drainer != nil {
@@ -195,8 +193,6 @@ func (s *Shell) SetAnnex(p *sim.Proc, idx, pe int, cached bool) {
 	p.Wait(s.cfg.AnnexUpdate)
 	s.AnnexUpdates++
 	s.annex[idx] = AnnexEntry{PE: pe, Cached: cached}
-	//lint:allow hotalloc the tracer's variadic boxes on every rebind; a zero-cost disarmed Trace is ROADMAP item 5(b) (typed trace)
-	s.eng.Trace("shell.annex", "pe%d annex[%d] <- pe=%d cached=%v", s.pe, idx, pe, cached)
 }
 
 // Annex returns the current contents of annex register idx.
@@ -261,11 +257,9 @@ func (s *Shell) checkReachable(pe int) {
 		return
 	}
 	if !s.fab.Net.Reachable(s.pe, pe) {
-		//lint:allow hotalloc partition failure path; the fault-free fast path returns before any check
 		panic(&net.PartitionError{Src: s.pe, Dst: pe})
 	}
 	if !s.fab.Net.Reachable(pe, s.pe) {
-		//lint:allow hotalloc partition failure path; the fault-free fast path returns before any check
 		panic(&net.PartitionError{Src: pe, Dst: s.pe})
 	}
 }
@@ -298,8 +292,6 @@ func (s *Shell) ReadWord(p *sim.Proc, pa int64, size int) uint64 {
 	s.checkReachable(e.PE)
 	off := addr.Offset(pa)
 	s.RemoteReads++
-	//lint:allow hotalloc the tracer's variadic boxes on every read; a zero-cost disarmed Trace is ROADMAP item 5(b) (typed trace)
-	s.eng.Trace("shell.read", "pe%d uncached read pe%d+%#x", s.pe, e.PE, off)
 	p.Wait(s.cfg.IssueExtra)
 	done := sim.NewSignal("readword")
 	var val uint64
@@ -309,13 +301,12 @@ func (s *Shell) ReadWord(p *sim.Proc, pa int64, size int) uint64 {
 		val, poisoned = v, poi
 		done.Fire(s.eng)
 	})
-	p.WaitSignalDeadline(done, "remote read")
+	p.WaitSignal(done)
 	p.Wait(s.cfg.RespAccept)
 	if poisoned {
 		// The response arrived but its payload is an uncorrectable
 		// memory error: trap on the requesting processor rather than
 		// hand garbage to the program.
-		//lint:allow hotalloc poison trap failure path; clean responses never allocate
 		panic(&mem.PoisonError{PE: e.PE, Addr: off})
 	}
 	return val
@@ -340,11 +331,10 @@ func (s *Shell) ReadLine(p *sim.Proc, pa int64, line []byte) {
 		poisoned = poi
 		done.Fire(s.eng)
 	})
-	p.WaitSignalDeadline(done, "remote line fill")
+	p.WaitSignal(done)
 	p.Wait(s.cfg.RespAccept + s.cfg.CachedFillExtra)
 	if poisoned {
 		// Unwind before the caller can install the line in its cache.
-		//lint:allow hotalloc poison trap failure path; clean responses never allocate
 		panic(&mem.PoisonError{PE: e.PE, Addr: off})
 	}
 }
@@ -443,7 +433,6 @@ func (s *Shell) injectWrite(p *sim.Proc, e *wbuf.Entry) {
 	// it from here until the ack returns (§4.3).
 	s.outstandingWrites++
 	s.RemoteWrites++
-	s.eng.Trace("shell.write", "pe%d remote write pe%d+%#x (%dB)", s.pe, ae.PE, lineOff, nbytes)
 	entry := *e // snapshot: the buffer slot is reused after drain
 	s.fab.Net.SendDataEx(s.pe, ae.PE, nbytes, func(fault net.Fault, marked bool) {
 		rn := s.node(ae.PE)
@@ -501,7 +490,6 @@ func (s *Shell) injectFetch(p *sim.Proc, e *wbuf.Entry) {
 	slot := &pqSlot{srcPE: ae.PE, addr: off}
 	s.pq = append(s.pq, slot)
 	s.Prefetches++
-	s.eng.Trace("shell.prefetch", "pe%d prefetch pe%d+%#x (%d outstanding)", s.pe, ae.PE, off, len(s.pq))
 	start := s.storePort.Acquire(p.Now(), s.cfg.FetchInject)
 	p.WaitUntil(start + s.cfg.FetchInject)
 	s.sendReadRequest(ae.PE, off, 8, func(v uint64, _ []byte, poi bool) {
@@ -524,7 +512,7 @@ func (s *Shell) PopPrefetch(p *sim.Proc) uint64 {
 		panic(fmt.Sprintf("shell: PE %d popped an empty prefetch queue", s.pe))
 	}
 	head := s.pq[0]
-	sim.AwaitDeadline(p, s.pqSig, "prefetch response", func() bool { return head.filled })
+	sim.Await(p, s.pqSig, func() bool { return head.filled })
 	p.Wait(s.cfg.PopCost)
 	s.pq = s.pq[1:]
 	if head.poisoned {
@@ -539,14 +527,11 @@ func (s *Shell) PopPrefetch(p *sim.Proc) uint64 {
 func (s *Shell) DiscardPrefetches(p *sim.Proc) {
 	for len(s.pq) > 0 {
 		head := s.pq[0]
-		sim.AwaitDeadline(p, s.pqSig, "prefetch response", func() bool { return head.filled })
+		sim.Await(p, s.pqSig, func() bool { return head.filled })
 		p.Wait(s.cfg.PopCost)
 		s.pq = s.pq[1:]
 	}
 }
-
-// PrefetchOutstanding reports the number of FIFO slots in use.
-func (s *Shell) PrefetchOutstanding() int { return len(s.pq) }
 
 // --- Write-completion status ---
 
@@ -563,12 +548,8 @@ func (s *Shell) ReadStatus(p *sim.Proc) bool {
 // have been acknowledged, exactly as the Split-C blocking write does.
 func (s *Shell) WaitWritesComplete(p *sim.Proc) {
 	for s.ReadStatus(p) {
-		p.CheckDeadline("write completion")
 	}
 }
-
-// OutstandingWrites exposes the raw counter for tests.
-func (s *Shell) OutstandingWrites() int { return s.outstandingWrites }
 
 // --- Fetch&increment and swap ---
 
@@ -600,7 +581,7 @@ func (s *Shell) FetchInc(p *sim.Proc, pe, reg int) uint64 {
 			})
 		})
 	})
-	p.WaitSignalDeadline(done, "fetch&increment")
+	p.WaitSignal(done)
 	p.Wait(s.cfg.RespAccept)
 	return val
 }
@@ -649,7 +630,7 @@ func (s *Shell) Swap(p *sim.Proc, pa int64, v uint64) uint64 {
 			})
 		})
 	})
-	p.WaitSignalDeadline(done, "atomic swap")
+	p.WaitSignal(done)
 	p.Wait(s.cfg.RespAccept)
 	if poisoned {
 		panic(&mem.PoisonError{PE: ae.PE, Addr: off})

@@ -92,7 +92,6 @@ type Engine struct {
 	procs   []*Proc
 	done    chan struct{} // token back to the Run or Shutdown caller
 	running bool
-	tracer  Tracer
 
 	// Why the current run ended: dispatch records it on whichever
 	// goroutine holds the token, and RunErr reports it on the caller's.
@@ -152,7 +151,6 @@ func (e *Engine) Now() Time { return e.now }
 //t3d:hotpath
 func (e *Engine) At(t Time, fn func()) {
 	if t < e.now {
-		//lint:allow hotalloc misuse-panic path only; the steady-state schedule never formats
 		panic(fmt.Sprintf("sim: At(%d) is in the past (now=%d)", t, e.now))
 	}
 	e.seq++

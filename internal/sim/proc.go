@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"errors"
 	"fmt"
 	"runtime"
 )
@@ -36,87 +35,6 @@ type Proc struct {
 	// (meaningful only while state == procBlocked).
 	waitLabel    string
 	blockedSince Time
-
-	// deadline is the absolute cycle by which deadline-aware blocking
-	// operations must complete (0 = none armed). Expiry panics with a
-	// *DeadlineError (an error value), which sim.Engine.RunErr converts
-	// into a *ProcFailure and higher layers (splitc.Ctx.WithDeadline)
-	// recover into an ordinary error return.
-	deadline Time
-}
-
-// ErrDeadline reports that a deadline-aware operation ran out of
-// simulated time. It is a per-operation, transient condition — unlike
-// net.ErrPartitioned, retrying with a larger budget may succeed — so
-// callers should degrade (drop, defer, serve stale) rather than treat
-// the peer as gone.
-var ErrDeadline = errors.New("sim: deadline exceeded")
-
-// DeadlineError is the concrete expiry failure: which proc, what it was
-// doing, and by how much the deadline was missed. It unwraps to
-// ErrDeadline so errors.Is works across layers.
-type DeadlineError struct {
-	Proc     string // name of the proc whose deadline expired
-	Op       string // the blocking operation that was cut short
-	Deadline Time   // the armed absolute deadline
-	Now      Time   // simulated time at expiry
-}
-
-func (e *DeadlineError) Error() string {
-	return fmt.Sprintf("sim: proc %q deadline exceeded during %s (deadline t=%d, now t=%d)",
-		e.Proc, e.Op, e.Deadline, e.Now)
-}
-
-func (e *DeadlineError) Unwrap() error { return ErrDeadline }
-
-// SetDeadline arms (or, with 0, clears) the proc's absolute deadline.
-// Deadline-aware waits — WaitSignalDeadline, AwaitDeadline, and the
-// explicit CheckDeadline calls in polling loops — panic with a
-// *DeadlineError once the deadline passes. Pure time waits (Wait,
-// WaitUntil) are unaffected: local work always completes.
-func (p *Proc) SetDeadline(t Time) { p.deadline = t }
-
-// Deadline returns the armed absolute deadline (0 = none).
-func (p *Proc) Deadline() Time { return p.deadline }
-
-// CheckDeadline panics with a *DeadlineError if a deadline is armed and
-// has passed. Polling loops that advance time between iterations (write
-// completion, credit waits) call it once per iteration.
-//
-//t3d:hotpath
-func (p *Proc) CheckDeadline(op string) {
-	if p.deadline != 0 && p.eng.now >= p.deadline {
-		//lint:allow hotalloc deadline-expiry failure path; the in-budget check is branch-only
-		panic(&DeadlineError{Proc: p.name, Op: op, Deadline: p.deadline, Now: p.eng.now})
-	}
-}
-
-// WaitSignalDeadline blocks until s fires, like WaitSignal, but if the
-// proc's deadline passes first it panics with a *DeadlineError. With no
-// deadline armed it is exactly WaitSignal. The abandoned wakeup is
-// harmless: a signal fire with no waiters is a no-op.
-//
-//t3d:hotpath
-func (p *Proc) WaitSignalDeadline(s *Signal, op string) {
-	if p.deadline == 0 {
-		p.WaitSignal(s)
-		return
-	}
-	for {
-		p.CheckDeadline(op)
-		if p.WaitSignalTimeout(s, p.deadline-p.eng.now) {
-			return
-		}
-	}
-}
-
-// AwaitDeadline blocks p until cond() holds, re-testing each time s
-// fires, and panics with a *DeadlineError if the proc's deadline passes
-// first. It is the deadline-aware Await.
-func AwaitDeadline(p *Proc, s *Signal, op string, cond func() bool) {
-	for !cond() {
-		p.WaitSignalDeadline(s, op)
-	}
 }
 
 // Name returns the proc's name (used in deadlock reports).
@@ -178,7 +96,6 @@ func (p *Proc) exit() {
 //t3d:hotpath
 func (p *Proc) Wait(d Time) {
 	if d < 0 {
-		//lint:allow hotalloc negative-duration misuse panic; a valid wait never formats
 		panic(fmt.Sprintf("sim: Wait(%d) negative", d))
 	}
 	if d == 0 {
@@ -294,7 +211,7 @@ type waiter struct {
 // NewSignal returns a named signal.
 //
 //t3d:hotpath
-//lint:allow hotalloc one signal object per outstanding transaction; header pooling is ROADMAP item 4 (event-kernel costs)
+//lint:allow hotalloc one signal object per outstanding transaction; header pooling is ROADMAP item 1(c) (closure-free shell transactions)
 func NewSignal(name string) *Signal { return &Signal{name: name} }
 
 // Fire wakes all procs currently blocked on the signal. The wakeups are

@@ -182,20 +182,13 @@ func (c *Ctx) ByteRead(g GlobalPtr) byte {
 	return c.Node.CPU.ExtractByte(c.P, v, uint(g.Local()%8))
 }
 
-// EnterLocalRegion begins a region where shared global data will be
-// accessed through ordinary local pointers (§4.5). Local stores are
-// buffered and may be reordered past later local reads, so another
-// processor could observe a consistency violation; the paper's chosen
-// remedy is explicit privatization calls around such regions. Entering
-// drains the write buffer so the region starts from a consistent state.
-func (c *Ctx) EnterLocalRegion() {
-	c.Node.CPU.MB(c.P)
-	c.Node.Shell.WaitWritesComplete(c.P)
-}
-
-// ExitLocalRegion ends a privatized region: every local write performed
-// inside becomes globally visible before the call returns, restoring the
-// ordering global accesses rely on.
+// ExitLocalRegion ends a region where shared global data was accessed
+// through ordinary local pointers (§4.5). Local stores are buffered and
+// may be reordered past later local reads, so another processor could
+// observe a consistency violation; the paper's chosen remedy is explicit
+// privatization calls around such regions. Every local write performed
+// inside becomes globally visible before the call returns, restoring
+// the ordering global accesses rely on.
 func (c *Ctx) ExitLocalRegion() {
 	c.Node.CPU.MB(c.P)
 	c.Node.Shell.WaitWritesComplete(c.P)

@@ -45,11 +45,9 @@ type GlobalPtr uint64
 //t3d:hotpath
 func Global(pe int, local int64) GlobalPtr {
 	if pe < 0 || pe >= 1<<16 {
-		//lint:allow hotalloc range-check misuse panic; valid global pointers never format
 		panic(fmt.Sprintf("splitc: processor %d out of range", pe))
 	}
 	if local < 0 || local > localMask {
-		//lint:allow hotalloc range-check misuse panic; valid global pointers never format
 		panic(fmt.Sprintf("splitc: local address %#x out of range", local))
 	}
 	return GlobalPtr(uint64(pe)<<peShift | uint64(local))

@@ -203,7 +203,6 @@ func (r *Recovery) CrashNode(pe int) {
 	r.Stats.NodeCrashes++
 	r.rt.M.Nodes[pe].DRAM.Zero()
 	r.rt.M.Nodes[pe].L1.InvalidateAll() // reboot: the cache comes up cold
-	r.rt.M.Eng.Trace("recovery", "pe%d crashed: memory lost, rolling back", pe)
 	r.initiateRollback()
 }
 
@@ -329,7 +328,6 @@ func (r *Recovery) protect(body func()) (rolledBack bool) {
 				return
 			case *mem.PoisonError, *AuditError:
 				r.Stats.IntegrityRollbacks++
-				r.rt.M.Eng.Trace("recovery", "integrity trap: %v; rolling back", rec)
 				r.initiateRollback()
 				rolledBack = true
 				return
@@ -402,7 +400,6 @@ func (r *Recovery) takeCheckpoint(c *Ctx, nextEpoch int) {
 	if uncorrectable > 0 {
 		r.Stats.CheckpointsAborted++
 		r.Stats.IntegrityRollbacks++
-		r.rt.M.Eng.Trace("recovery", "checkpoint aborted: %d uncorrectable words in image; rolling back", uncorrectable)
 		r.initiateRollback()
 		panic(sim.InterruptSignal{Proc: c.P.Name()})
 	}
@@ -528,7 +525,6 @@ func (r *Recovery) restoreAll() {
 	}
 	r.rbWaiting = 0
 	r.rbDone = r.rbGen
-	r.rt.M.Eng.Trace("recovery", "rolled back to epoch %d (rollback #%d)", r.ckpt.Epoch, r.Stats.Rollbacks)
 	r.rbSig.Fire(r.rt.M.Eng)
 }
 

@@ -30,9 +30,9 @@ func (c *Ctx) Get(dst int64, g GlobalPtr) {
 
 // drainGets pops every outstanding prefetch and stores it to its target.
 // Completed entries are retired one at a time rather than in a final
-// truncation: a deadline expiring mid-drain (PopPrefetch waits on the
-// response) unwinds with the remaining table still matching the shell's
-// FIFO exactly, so a later Sync under a fresh budget resumes cleanly.
+// truncation, so an unwind mid-drain (a rollback interrupt while
+// PopPrefetch waits on the response) leaves the remaining table still
+// matching the shell's FIFO exactly.
 func (c *Ctx) drainGets() {
 	if len(c.gets) == 0 {
 		return

@@ -23,9 +23,6 @@ func (c *Ctx) AllocSpread(n, elemSize int64) Spread {
 // Len returns the element count.
 func (s Spread) Len() int64 { return s.n }
 
-// ElemSize returns the (aligned) element size in bytes.
-func (s Spread) ElemSize() int64 { return s.elemSize }
-
 // Ptr returns a global pointer to element i.
 func (s Spread) Ptr(i int64) GlobalPtr {
 	if i < 0 || i >= s.n {

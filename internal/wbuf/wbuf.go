@@ -127,13 +127,11 @@ func (b *Buffer) Empty() bool { return len(b.entries) == 0 }
 //t3d:hotpath
 func (b *Buffer) PushWrite(p *sim.Proc, addr int64, data []byte) {
 	if len(data) == 0 || int64(len(data)) > LineSize {
-		//lint:allow hotalloc size misuse panic; valid stores never format
 		panic(fmt.Sprintf("wbuf: write of %d bytes", len(data)))
 	}
 	line := addr &^ (LineSize - 1)
 	off := addr - line
 	if off+int64(len(data)) > LineSize {
-		//lint:allow hotalloc line-crossing misuse panic; valid stores never format
 		panic(fmt.Sprintf("wbuf: write at %#x crosses a line boundary", addr))
 	}
 	b.Pushes++
