@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet lint check race chaos fuzz cover serve-smoke serve-faults serve-tenants serve-resume
+.PHONY: all build test vet lint check race chaos fuzz cover serve-smoke serve-faults serve-tenants serve-resume bench-pairs
 
 all: check
 
@@ -51,10 +51,11 @@ cover:
 	$(GO) test -coverprofile=cover.out -covermode=atomic ./...
 	$(GO) tool cover -func=cover.out | tail -1
 
-# race runs the suite under the race detector. The event kernel hands the
-# single execution token between proc goroutines, and whichever holds it
-# runs the event loop and touches the engine's state, so this should stay
-# silent; it guards the handoff itself (signals, timeouts, retransmits).
+# race runs the suite under the race detector. Procs are coroutines that
+# run one at a time, each touching the engine's state in turn, and the
+# coroutine switches order those accesses, so this should stay silent; it
+# guards the switches themselves (signals, timeouts, retransmits) and
+# Shutdown's reaping of parked procs.
 race:
 	$(GO) test -race ./...
 
@@ -91,3 +92,12 @@ serve-tenants:
 # scripts/serve_resume.sh.
 serve-resume:
 	./scripts/serve_resume.sh
+
+# bench-pairs measures a speed change as ROADMAP.md asks of every speed
+# claim: alternating pairs of bench/ runs, HEAD against the working tree,
+# on consecutive fresh seeds, then bench's -compare. BENCH_WORKLOAD and
+# BENCH_SEED are required, BENCH_PAIRS optional; see
+# scripts/bench_pairs.sh. Results stay in .bench_build/pairs/.
+bench-pairs:
+	bash scripts/bench_pairs.sh $(if $(BENCH_WORKLOAD),--workload $(BENCH_WORKLOAD)) \
+		$(if $(BENCH_SEED),--seed $(BENCH_SEED)) $(if $(BENCH_PAIRS),--pairs $(BENCH_PAIRS))

@@ -1,9 +1,9 @@
 // Package cycleaccount enforces the simulated-time contract: a function
 // that receives a *sim.Proc is executing on a simulated processor, and
-// every cost it incurs must be charged in simulated cycles (p.Compute,
-// shell waits, sim deadlines) — never in host time. The event kernel
-// hands a single execution token between proc goroutines, so a proc
-// function that sleeps, reads the wall clock, or blocks on an OS
+// every cost it incurs must be charged in simulated cycles (CPU.Compute,
+// p.Wait, shell waits) — never in host time. The event kernel runs one
+// proc at a time, each a coroutine that only the engine resumes, so a
+// proc function that sleeps, reads the wall clock, or blocks on an OS
 // primitive either stalls the whole simulation or smuggles host-machine
 // timing into results that must be bit-identical across runs.
 //
@@ -20,9 +20,9 @@
 //
 // Nested function literals are judged by their own signatures: a
 // closure without a *sim.Proc parameter handed to the engine or a test
-// harness is outside this contract. repro/internal/sim itself is
-// exempt — the engine implements the token handoff with exactly these
-// primitives.
+// harness is outside this contract. repro/internal/sim is held to it
+// too: its procs switch as coroutines, so none of its proc functions
+// needs a channel.
 package cycleaccount
 
 import (
@@ -42,9 +42,6 @@ var Analyzer = &analysis.Analyzer{
 const simPath = "repro/internal/sim"
 
 func run(pass *analysis.Pass) error {
-	if pass.Path == simPath {
-		return nil
-	}
 	for _, f := range pass.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {

@@ -11,8 +11,8 @@
 //     process-seeded and shared; every draw must come from an
 //     explicitly seeded rand.New(rand.NewSource(seed)) instance;
 //   - raw go statements outside repro/internal/sim: the event kernel
-//     owns goroutine creation and hands the single execution token
-//     between procs; a stray goroutine races the simulation;
+//     owns goroutine creation and runs its procs as coroutines, one at
+//     a time; a stray goroutine races the simulation;
 //   - iteration over a map with order-sensitive effects: Go randomizes
 //     map order per process, so a map-range loop may only accumulate
 //     commutatively. Recognized as order-safe, and therefore allowed:

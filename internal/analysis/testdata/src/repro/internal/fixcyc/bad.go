@@ -23,7 +23,7 @@ func wallClock(p *sim.Proc) sim.Time {
 	return p.Now()
 }
 
-// chanRecv parks the goroutine outside the scheduler's token handoff.
+// chanRecv parks the goroutine behind the event kernel's back.
 func chanRecv(p *sim.Proc, ch chan int) int {
 	return <-ch // want `channel receive in a \*sim.Proc function`
 }

@@ -90,11 +90,10 @@ type Engine struct {
 	events eventHeap
 
 	procs   []*Proc
-	done    chan struct{} // token back to the Run or Shutdown caller
 	running bool
 
-	// Why the current run ended: dispatch records it on whichever
-	// goroutine holds the token, and RunErr reports it on the caller's.
+	// Why the current run ended: dispatch or a failing proc's exit
+	// records it, and RunErr reports it.
 	stop      stopReason
 	stopAt    Time  // stopLimit: time of the event beyond Limit
 	stopErr   error // stopCancel: the poll's error
@@ -137,16 +136,15 @@ const (
 
 // NewEngine returns an engine with time zero and no pending events.
 func NewEngine() *Engine {
-	return &Engine{done: make(chan struct{})}
+	return &Engine{}
 }
 
 // Now reports the current simulated time in cycles.
 func (e *Engine) Now() Time { return e.now }
 
 // At schedules fn to run at the given absolute time, which must not be in
-// the past. fn runs inline in the event loop, on whichever goroutine
-// holds the execution token (the Run caller's or a parking proc's), and
-// must not block.
+// the past. fn runs inline in the event loop, in RunErr's loop or in the
+// coroutine of whichever proc is parking, and must not block.
 //
 //t3d:hotpath
 func (e *Engine) At(t Time, fn func()) {
@@ -169,39 +167,6 @@ func (e *Engine) After(d Time, fn func()) { e.At(e.now+d, fn) }
 func (e *Engine) scheduleEpoch(p *Proc, t Time, epoch uint64) {
 	e.seq++
 	e.events.push(event{at: t, seq: e.seq, proc: p, epoch: epoch})
-}
-
-// Spawn creates a proc named name running body. The proc starts when the
-// engine reaches the current time in its event loop (immediately if the
-// engine is already running). Spawn may be called before Run or from
-// within a running proc.
-func (e *Engine) Spawn(name string, body func(p *Proc)) *Proc {
-	p := &Proc{
-		eng:    e,
-		name:   name,
-		resume: make(chan struct{}),
-	}
-	e.procs = append(e.procs, p)
-	go func() {
-		<-p.resume
-		defer p.exit()
-		if p.killed {
-			return // reaped by Shutdown before ever running
-		}
-		body(p)
-	}()
-	p.state = procReady
-	p.epoch = 1
-	e.scheduleEpoch(p, e.now, p.epoch)
-	return p
-}
-
-// SpawnDaemon is like Spawn, but the proc is exempt from deadlock
-// detection: it is expected to idle forever (device drain loops, pollers).
-func (e *Engine) SpawnDaemon(name string, body func(p *Proc)) *Proc {
-	p := e.Spawn(name, body)
-	p.daemon = true
-	return p
 }
 
 // BlockedProc is one entry of a deadlock diagnostic: a proc that can
@@ -281,11 +246,11 @@ func (l *LimitError) Error() string {
 // the run with that error from RunErr. This is the only sanctioned way
 // for wall-clock concerns (job deadlines, client disconnects, process
 // drain) to reach into a run: the poll runs in the event loop at
-// deterministic points, on whichever goroutine holds the execution
-// token (the Run caller's or a proc's), never mutates simulation state,
-// and an unarmed engine is bit-identical to one polling a closure that
-// returns nil. Pass a nil poll to disarm. After an aborted run the
-// machine is dead; call Shutdown to reap its proc goroutines.
+// deterministic points, in RunErr's loop or in a parking proc's
+// coroutine, never mutates simulation state, and an unarmed engine is
+// bit-identical to one polling a closure that returns nil. Pass a nil
+// poll to disarm. After an aborted run the machine is dead; call
+// Shutdown to reap its parked procs.
 func (e *Engine) SetCancelPoll(every int, poll func() error) {
 	if poll != nil && every <= 0 {
 		panic("sim: cancel poll needs a positive event interval")
@@ -297,8 +262,8 @@ func (e *Engine) SetCancelPoll(every int, poll func() error) {
 // engine samples progress(); if the value is unchanged for stalls
 // consecutive samples while events are still firing, the run fails with
 // a LivelockError. Pass a nil probe to disable. The probe must be cheap
-// and side-effect free; it runs inline in the event loop, on whichever
-// goroutine holds the execution token.
+// and side-effect free; it runs inline in the event loop, in RunErr's
+// loop or in a parking proc's coroutine.
 func (e *Engine) SetWatchdog(interval Time, stalls int, progress func() int64) {
 	if progress != nil && (interval <= 0 || stalls <= 0) {
 		panic("sim: watchdog needs a positive interval and stall count")
@@ -328,8 +293,14 @@ func (e *Engine) Run() Time {
 // are returned as *DeadlockError / *LivelockError, and a proc that panics
 // with an error value is returned as a *ProcFailure, instead of
 // panicking — so callers can inspect the failure programmatically. A
-// callback that panics is re-raised here, on the caller's goroutine,
-// with its original value, whichever goroutine ran it.
+// callback that panics is re-raised here with its original value,
+// whichever proc's park ran it.
+//
+// RunErr is the one loop that resumes procs: it runs the event loop
+// until it reaches a proc's wakeup, then resumes that proc's coroutine
+// until the proc yields the next proc to resume (or ends, when RunErr
+// runs the event loop in its place). A handoff from one proc to another
+// is thus two coroutine switches, through this loop, on one thread.
 func (e *Engine) RunErr() (Time, error) {
 	if e.running {
 		panic("sim: Engine.Run called reentrantly")
@@ -338,9 +309,12 @@ func (e *Engine) RunErr() (Time, error) {
 	defer func() { e.running = false }()
 
 	e.stop, e.stopErr, e.stopProc, e.stopPanic = stopDrained, nil, nil, nil
-	if p := e.dispatch(); p != nil {
-		p.resume <- struct{}{}
-		<-e.done
+	for p := e.dispatch(); p != nil; {
+		next, live := p.coro()
+		if !live && e.stop == stopDrained {
+			next = e.dispatch() // p returned: run the loop in its place
+		}
+		p = next
 	}
 	switch e.stop {
 	case stopLimit:
@@ -373,13 +347,13 @@ func (e *Engine) RunErr() (Time, error) {
 	return e.now, nil
 }
 
-// dispatch is the event loop, run by whichever goroutine holds the
-// execution token: it pops events in (at, seq) order, running callbacks
-// inline, until it reaches the wakeup of a live proc, which it marks
-// running and returns. It returns nil when the run is over, with the
-// reason in e.stop. A panicking callback ends the run too: it is
-// recovered here, so no recover in the body of the proc whose goroutine
-// holds the token can see it, and RunErr re-raises it.
+// dispatch is the event loop, run by RunErr and, inline in its
+// coroutine, by a parking proc: it pops events in (at, seq) order,
+// running callbacks inline, until it reaches the wakeup of a live proc,
+// which it marks running and returns. It returns nil when the run is
+// over, with the reason in e.stop. A panicking callback ends the run
+// too: it is recovered here, so no recover in the body of the proc that
+// is parking can see it, and RunErr re-raises it.
 func (e *Engine) dispatch() (next *Proc) {
 	defer e.recoverCallback()
 	for len(e.events) > 0 {
@@ -438,16 +412,6 @@ func (e *Engine) recoverCallback() {
 	}
 }
 
-// handoff passes the token to next, or back to the Run caller when the
-// run is over (next == nil).
-func (e *Engine) handoff(next *Proc) {
-	if next != nil {
-		next.resume <- struct{}{}
-	} else {
-		e.done <- struct{}{}
-	}
-}
-
 // Idle reports whether the engine has no pending events.
 func (e *Engine) Idle() bool { return len(e.events) == 0 }
 
@@ -456,17 +420,16 @@ func (e *Engine) Idle() bool { return len(e.events) == 0 }
 // sim.events_per_point, _per_edge and _per_run).
 func (e *Engine) Events() int64 { return e.processed }
 
-// Shutdown reaps every live proc goroutine of a stopped engine. A run
-// that ends early — cancel poll, cycle Limit, proc failure, deadlock —
-// abandons its sibling procs parked on resume channels that will never
-// fire again; a long-running host (the job service) would leak one
-// goroutine per PE per aborted run. Shutdown hands each parked proc the
-// token with the killed flag set, which makes it unwind via
-// runtime.Goexit (running its deferred cleanups, skipping the rest of
-// its body; a cleanup that parks again unwinds at once) and hand the
-// token back. The engine is unusable afterwards. Shutdown is idempotent
-// and safe on a cleanly finished engine (every proc already done); it
-// must not be called while Run is in progress.
+// Shutdown reaps every live proc of a stopped engine. A run that ends
+// early — cancel poll, cycle Limit, proc failure, deadlock — leaves its
+// sibling procs parked in coroutines nothing will resume again; a
+// long-running host (the job service) would leak one goroutine per PE
+// per aborted run. Shutdown resumes each parked proc with the killed
+// flag set, which makes it unwind via runtime.Goexit (running its
+// deferred cleanups, skipping the rest of its body; a cleanup that parks
+// again unwinds at once). The engine is unusable afterwards. Shutdown is
+// idempotent and safe on a cleanly finished engine (every proc already
+// done); it must not be called while Run is in progress.
 func (e *Engine) Shutdown() {
 	if e.running {
 		panic("sim: Shutdown called during Run")
@@ -474,8 +437,15 @@ func (e *Engine) Shutdown() {
 	for _, p := range e.procs {
 		if p.state != procDone {
 			p.killed = true
-			p.resume <- struct{}{}
-			<-e.done
+			// iter.Pull forwards the teardown's Goexit to whoever
+			// resumed the coroutine, so resume it from a goroutine
+			// that may die.
+			reaped := make(chan struct{})
+			go func() {
+				defer close(reaped)
+				p.coro()
+			}()
+			<-reaped
 		}
 	}
 	e.procs = nil

@@ -334,7 +334,7 @@ func TestPropertyCallbacksAndWakeupsFireInScheduleOrder(t *testing.T) {
 	// Property: callbacks and proc wakeups, scheduled from procs and
 	// from callbacks at delays of 0–2 cycles (so most times tie), fire
 	// at their due times in strictly increasing (time, scheduling index)
-	// order, whichever goroutine holds the token when they are popped.
+	// order, whether RunErr or a parking proc pops them.
 	type stamp struct {
 		at  Time
 		idx int
@@ -392,9 +392,10 @@ func TestPropertyCallbacksAndWakeupsFireInScheduleOrder(t *testing.T) {
 }
 
 // TestKernelHotPathsDoNotAllocate pins the event kernel's steady state
-// at zero allocations, once the heap's backing array and the signal's
-// waiter slice have grown: scheduling and popping a callback, and a
-// proc's Wait (its wakeup event plus the token handoffs around it).
+// at zero allocations, once the heap's backing array and the signals'
+// waiter slices have grown: scheduling and popping a callback, a proc's
+// Wait (its wakeup event plus the switches around it), and a handoff
+// from one proc to another through RunErr's loop.
 func TestKernelHotPathsDoNotAllocate(t *testing.T) {
 	e := NewEngine()
 	nop := func() {}
@@ -428,6 +429,36 @@ func TestKernelHotPathsDoNotAllocate(t *testing.T) {
 	round()
 	if a := testing.AllocsPerRun(50, round); a != 0 {
 		t.Errorf("proc Wait: %v allocations per %d waits, want 0", a, waits)
+	}
+
+	// Each wakeup in a round trip is of the other proc, so none resumes
+	// the proc that parked.
+	const trips = 100
+	kick, ping, pong := NewSignal("kick"), NewSignal("ping"), NewSignal("pong")
+	e.SpawnDaemon("ponger", func(p *Proc) {
+		for {
+			p.WaitSignal(ping)
+			pong.Fire(e)
+		}
+	})
+	e.SpawnDaemon("pinger", func(p *Proc) {
+		for {
+			p.WaitSignal(kick)
+			for i := 0; i < trips; i++ {
+				ping.Fire(e)
+				p.WaitSignal(pong)
+			}
+		}
+	})
+	fireKick := func() { kick.Fire(e) }
+	rally := func() {
+		e.At(e.Now(), fireKick)
+		e.Run()
+	}
+	e.Run() // both park
+	rally()
+	if a := testing.AllocsPerRun(50, rally); a != 0 {
+		t.Errorf("proc-to-proc handoff: %v allocations per %d round trips, want 0", a, trips)
 	}
 	e.Shutdown()
 }

@@ -1,7 +1,10 @@
+//go:build go1.23
+
 package sim
 
 import (
 	"fmt"
+	"iter"
 	"runtime"
 )
 
@@ -14,14 +17,16 @@ const (
 	procDone                     // body returned
 )
 
-// Proc is a simulated thread of control. Procs run one at a time, each
-// on its own goroutine, passing the engine's execution token between
-// them; all methods must be called from the proc's own body.
+// Proc is a simulated thread of control. Each proc is a coroutine that
+// only RunErr's loop resumes (and Shutdown, to reap it), so procs run
+// one at a time and switch without the Go scheduler; all methods must be
+// called from the proc's own body.
 type Proc struct {
-	eng    *Engine
-	name   string
-	resume chan struct{}
-	state  procState
+	eng   *Engine
+	name  string
+	coro  func() (*Proc, bool) // runs p until it yields the next proc; false once p has ended
+	yield func(*Proc) bool     // suspends p, handing the next proc to RunErr's loop
+	state procState
 
 	// epoch distinguishes wakeup generations: any event scheduled for an
 	// earlier park is stale and skipped by the engine.
@@ -29,12 +34,47 @@ type Proc struct {
 	sigFired    bool
 	daemon      bool
 	interrupted bool
-	killed      bool // set by Engine.Shutdown; the next resume unwinds via Goexit
+	killed      bool // set by Engine.Shutdown; p unwinds via Goexit when next resumed
 
 	// Deadlock diagnostics: what the proc is blocked on and since when
 	// (meaningful only while state == procBlocked).
 	waitLabel    string
 	blockedSince Time
+}
+
+// Spawn creates a proc named name running body. The proc starts when the
+// engine reaches the current time in its event loop (immediately if the
+// engine is already running). Spawn may be called before Run or from
+// within a running proc.
+//
+// body runs in a coroutine (iter.Pull) that RunErr resumes. A panic in
+// body ends the run and is reported by RunErr. A body that calls
+// runtime.Goexit, as t.FailNow does, unwinds the goroutine that called
+// Run as well: Run never returns, that goroutine's deferred calls run,
+// and the procs left parked wait for Shutdown. So a t.Fatal in a proc
+// body stops the test that called Run, as package testing documents.
+func (e *Engine) Spawn(name string, body func(p *Proc)) *Proc {
+	p := &Proc{eng: e, name: name}
+	p.coro, _ = iter.Pull(func(yield func(*Proc) bool) {
+		p.yield = yield
+		defer p.exit()
+		if !p.killed { // reaped by Shutdown before ever running
+			body(p)
+		}
+	})
+	e.procs = append(e.procs, p)
+	p.state = procReady
+	p.epoch = 1
+	e.scheduleEpoch(p, e.now, p.epoch)
+	return p
+}
+
+// SpawnDaemon is like Spawn, but the proc is exempt from deadlock
+// detection: it is expected to idle forever (device drain loops, pollers).
+func (e *Engine) SpawnDaemon(name string, body func(p *Proc)) *Proc {
+	p := e.Spawn(name, body)
+	p.daemon = true
+	return p
 }
 
 // Name returns the proc's name (used in deadlock reports).
@@ -46,10 +86,10 @@ func (p *Proc) Engine() *Engine { return p.eng }
 // Now reports the current simulated time.
 func (p *Proc) Now() Time { return p.eng.now }
 
-// park blocks p until its next wakeup. p holds the execution token, so
-// it runs the event loop itself: if its own wakeup comes next it returns
-// with no goroutine switch, otherwise it hands the token on and waits
-// for it to come back.
+// park blocks p until its next wakeup. p runs the event loop itself: if
+// its own wakeup comes next it returns with no switch, otherwise it
+// yields the next proc (nil when the run is over) to RunErr's loop, which
+// resumes that proc, and waits there until the loop resumes p.
 func (p *Proc) park(st procState) {
 	if p.killed {
 		// A teardown defer parked again during Engine.Shutdown: keep
@@ -57,37 +97,27 @@ func (p *Proc) park(st procState) {
 		runtime.Goexit()
 	}
 	p.state = st
-	e := p.eng
-	if next := e.dispatch(); next != p {
-		e.handoff(next)
-		<-p.resume
+	if next := p.eng.dispatch(); next != p {
+		p.yield(next)
 		if p.killed {
-			// Engine.Shutdown is reaping this proc: terminate the
-			// goroutine, running deferred cleanups on the way out. Goexit
-			// (not a panic) so no recover in user code can intercept the
+			// Engine.Shutdown is reaping this proc: end the coroutine,
+			// running deferred cleanups on the way out. Goexit (not a
+			// panic) so no recover in user code can intercept the
 			// teardown.
 			runtime.Goexit()
 		}
 	}
 }
 
-// exit is deferred by p's goroutine and runs when its body returns,
-// panics or is unwound by Shutdown. It passes the token on: back to the
-// Shutdown caller when p was killed, back to the Run caller with the
-// failure recorded when p panicked, and otherwise to whatever the event
-// loop reaches next.
+// exit is deferred by p's coroutine and runs when its body returns,
+// panics or is unwound. It marks p done and, when p panicked outside a
+// Shutdown, records the failure for RunErr, which ends the run.
 func (p *Proc) exit() {
 	r := recover()
 	p.state = procDone
-	e := p.eng
-	switch {
-	case p.killed:
-		e.done <- struct{}{}
-	case r != nil:
+	if r != nil && !p.killed {
+		e := p.eng
 		e.stop, e.stopProc, e.stopPanic = stopPanic, p, r
-		e.done <- struct{}{}
-	default:
-		e.handoff(e.dispatch())
 	}
 }
 

@@ -139,6 +139,43 @@ func TestShutdownTeardownThatParksAgain(t *testing.T) {
 	}
 }
 
+// TestProcGoexitUnwindsRunCaller pins what a runtime.Goexit in a proc
+// body (as t.FailNow calls it) does: the proc's defers run, the Goexit
+// carries on through the goroutine that called RunErr, which never
+// returns, and a later Shutdown reaps the procs left parked.
+func TestProcGoexitUnwindsRunCaller(t *testing.T) {
+	before := countGoroutines()
+	e := NewEngine()
+	never := NewSignal("never")
+	e.Spawn("sibling", func(p *Proc) { p.WaitSignal(never) })
+	procDeferred := false
+	e.Spawn("exiter", func(p *Proc) {
+		defer func() { procDeferred = true }()
+		p.Wait(3)
+		runtime.Goexit()
+	})
+	returned, callerDeferred := false, false
+	caller := make(chan struct{})
+	go func() {
+		defer close(caller)
+		defer func() { callerDeferred = true }()
+		e.RunErr()
+		returned = true
+	}()
+	<-caller
+	if !procDeferred || returned || !callerDeferred {
+		t.Fatalf("proc defers ran = %v, RunErr returned = %v, caller defers ran = %v; want true, false, true",
+			procDeferred, returned, callerDeferred)
+	}
+	if e.Now() != 3 {
+		t.Errorf("run stopped at t=%d, want 3", e.Now())
+	}
+	e.Shutdown()
+	if after := countGoroutines(); after > before {
+		t.Fatalf("goroutines leaked: %d before, %d after", before, after)
+	}
+}
+
 // TestShutdownNeverStartedProc covers procs spawned but reaped before
 // their first resume: the body must not run at all.
 func TestShutdownNeverStartedProc(t *testing.T) {
