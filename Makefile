@@ -15,9 +15,10 @@ vet:
 
 # lint runs the in-tree invariant suite (cmd/t3dlint): the Split-C
 # split-phase sync discipline, deterministic-replay rules, the
-# deadline/partition/poison error taxonomy, and simulated-time-only
-# cycle accounting. Exit 1 on any finding; waivers need a written
-# //lint:allow <pass> <reason>. See DESIGN.md §11.
+# partition/poison error taxonomy (plus the job service's verdicts),
+# simulated-time-only cycle accounting, host state shared across procs,
+# and allocation-free hot paths. Exit 1 on any finding; waivers need a
+# written //lint:allow <pass> <reason>. See DESIGN.md §11 and §16.
 lint:
 	$(GO) run ./cmd/t3dlint ./...
 

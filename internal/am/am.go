@@ -399,7 +399,6 @@ func (ep *Endpoint) Send(dst, id int, args [4]uint64) {
 		ep.sentTo[dst]++
 	}
 	ep.Sent++
-	//lint:allow hotalloc fetch&increment issues its per-operation request/response event chain; the chain closures are the transaction
 	ticket := c.FetchIncOn(dst, 0)
 	slot := int64(ticket%uint64(ep.cfg.QueueSlots)) * slotBytes
 	c.Compute(ep.cfg.DepositPad)
@@ -409,7 +408,7 @@ func (ep *Endpoint) Send(dst, id int, args [4]uint64) {
 	}
 	// Header written last: separate line, drains after the data.
 	c.Put(base.AddLocal(32), headerWord(c.MyPE(), id))
-	//lint:allow hotalloc Sync reaches shell.PopPrefetch's wait closure through Ctx.drainGets only while the caller has split-phase gets outstanding; the deposit itself issues none, and closure-free shell transactions are ROADMAP item 1(c)
+	//lint:allow hotalloc Sync allocates only in the runtime's Reliable write verification and Audit passes, both off by default; with them off a deposit allocates nothing (splitc.TestRemoteOpsDoNotAllocate covers its Put+Sync)
 	c.Sync()
 }
 

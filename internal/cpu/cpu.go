@@ -152,10 +152,10 @@ func (c *CPU) load(p *sim.Proc, va int64, size int) uint64 {
 		p.Wait(pen)
 	}
 	if c.Remote != nil && !addr.IsLocal(pa) {
-		//lint:allow hotalloc the remote path allocates only per-miss line staging and a conflict-stall wait; steady cached hits are allocation-free
+		//lint:allow hotalloc the remote path allocates only a cached remote read's per-miss line, which escapes through the Remote interface; uncached reads and cached hits are allocation-free
 		return c.loadRemote(p, pa, size)
 	}
-	//lint:allow hotalloc the local path allocates only per-miss line staging and the poison-trap error; per-hit loads are allocation-free
+	//lint:allow hotalloc the local path allocates only the list of poisoned words ECC reports on a miss; hits and clean misses are allocation-free
 	return c.loadLocal(p, addr.Offset(pa), pa, size)
 }
 
@@ -196,7 +196,10 @@ func (c *CPU) loadLocalChecked(p *sim.Proc, off, pa int64, size int) (uint64, in
 	// Miss: the 21064 stalls a load that conflicts with a pending write
 	// buffer entry (exact physical line match only — synonyms escape).
 	c.WB.WaitNoConflict(p, pa)
-	line := make([]byte, c.L1.Config().LineSize)
+	// Stack staging for the fill: a line is one write-buffer entry wide,
+	// and the caches copy it in.
+	var lineBuf [wbuf.LineSize]byte
+	line := lineBuf[:c.L1.Config().LineSize]
 	lineAddr := c.L1.LineAddr(pa)
 	lineOff := c.L1.LineAddr(off)
 	if c.L2 != nil {
@@ -299,8 +302,9 @@ func (c *CPU) store(p *sim.Proc, va int64, v uint64, size int) {
 		p.Wait(pen)
 	}
 	p.Wait(c.Costs.StoreIssue)
-	//lint:allow hotalloc per-store staging copy retained by the write buffer until drain; buffer pooling is ROADMAP item 1(c) (closure-free shell transactions)
-	data := make([]byte, size)
+	// Stack staging: the caches and the write buffer copy the bytes.
+	var buf [8]byte
+	data := buf[:size]
 	putWord(data, v)
 	// Write-through: update a resident line (local or cached-remote).
 	c.L1.WriteData(pa, data)

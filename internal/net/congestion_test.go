@@ -17,7 +17,7 @@ func TestCongestionMarking(t *testing.T) {
 
 	var marks, total int
 	send := func() {
-		n.SendDataEx(0, 1, 32, func(f Fault, marked bool) {
+		n.SendData(0, 1, 32, func(f Fault, marked bool) {
 			total++
 			if marked {
 				marks++
@@ -56,7 +56,7 @@ func TestMarkingDisabledAndControlPackets(t *testing.T) {
 	cfg.MarkThreshold = 0
 	n := New(eng, cfg)
 	for i := 0; i < 50; i++ {
-		n.SendDataEx(0, 1, 64, func(f Fault, marked bool) {
+		n.SendData(0, 1, 64, func(f Fault, marked bool) {
 			if marked {
 				t.Error("marking disabled but packet arrived marked")
 			}
@@ -78,7 +78,7 @@ func TestLinkBacklog(t *testing.T) {
 		t.Fatalf("idle link backlog = %d", b)
 	}
 	for i := 0; i < 10; i++ {
-		n.SendData(0, 1, 64, func(Fault) {})
+		n.SendData(0, 1, 64, func(Fault, bool) {})
 	}
 	// Before the engine runs, all ten packets' occupancy is committed on
 	// the +x link out of node 0 (dimension-order route 0 -> 1).

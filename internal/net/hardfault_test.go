@@ -184,3 +184,42 @@ func TestReroutedStateCountsBrokenDimOrderPaths(t *testing.T) {
 		t.Errorf("untouched pair state = %d, want routeKnown", n.routeState[2*n.nodes+3])
 	}
 }
+
+func TestFailLinkDropsInFlightData(t *testing.T) {
+	// A link that dies under a data packet claims it: the packet lands
+	// FaultDrop. A control packet on the same route is never faulted,
+	// nor is a data packet in flight on a live route, and the next data
+	// packet, which reuses the landed packet's recycled record, must not
+	// inherit its forced drop.
+	eng := sim.NewEngine()
+	n := New(eng, DefaultConfig(8)) // 2x2x2
+	route := n.Route(0, 1)
+	var first, second, third Fault = -1, -1, -1
+	control := false
+	n.SendData(0, 1, 32, func(f Fault, _ bool) {
+		first = f
+		// On a live route, sent from the delivery itself, so it takes
+		// the record this packet just released.
+		n.SendData(2, 3, 32, func(f Fault, _ bool) { third = f })
+	})
+	// Longer, so it lands after the first and moves in the flight list.
+	n.SendData(4, 5, 64, func(f Fault, _ bool) { second = f })
+	n.Send(0, 1, 32, func() { control = true })
+	n.FailLink(route[0][0], route[0][1])
+	eng.Run()
+	if first != FaultDrop {
+		t.Errorf("in-flight data packet landed %v, want drop", first)
+	}
+	if n.HardDropped != 1 {
+		t.Errorf("HardDropped = %d, want 1", n.HardDropped)
+	}
+	if !control {
+		t.Error("control packet on the failed route was not delivered")
+	}
+	if second != FaultNone || third != FaultNone {
+		t.Errorf("data packets on live routes landed %v and %v (the second on a recycled record), want none", second, third)
+	}
+	if len(n.flights) != 0 {
+		t.Errorf("%d flights still tracked after every packet landed", len(n.flights))
+	}
+}

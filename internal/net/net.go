@@ -178,8 +178,9 @@ type Network struct {
 	deadLinks  int
 	routeCache [][][2]int
 	routeState []uint8
-	flights    map[int64]*flight
-	flightSeq  int64
+	flights    []*packet
+
+	free *packet // recycled packet records
 
 	// Stats.
 	Packets, PayloadBytes int64
@@ -220,7 +221,6 @@ func NewChecked(eng *sim.Engine, cfg Config) (*Network, error) {
 		dead:       make([][numDirs]bool, n),
 		routeCache: make([][][2]int, n*n),
 		routeState: make([]uint8, n*n),
-		flights:    make(map[int64]*flight),
 	}, nil
 }
 
@@ -288,27 +288,81 @@ func (n *Network) occupancy(payloadBytes int) sim.Time {
 // full length, so concurrent streams through a link serialize. Control
 // packets are never faulted.
 func (n *Network) Send(src, dst, payloadBytes int, deliver func()) {
-	n.send(src, dst, payloadBytes, false, func(Fault, bool) { deliver() })
+	n.send(src, dst, payloadBytes, deliver, nil)
 }
 
 // SendData injects a data-carrying packet: identical timing to Send, but
 // the fault hook (if any) may damage the payload in flight, and deliver
-// receives the verdict. The packet envelope always arrives — transient
-// faults hit the data path, not the hardware flow control — so callers
-// must decide what a dropped or corrupted payload means at the far end.
-func (n *Network) SendData(src, dst, payloadBytes int, deliver func(f Fault)) {
-	n.send(src, dst, payloadBytes, true, func(f Fault, _ bool) { deliver(f) })
+// receives the verdict along with whether the packet queued past
+// MarkThreshold at a hot link — the ECN-style congestion-experienced
+// mark the overload-protection layer feeds back to senders. The packet
+// envelope always arrives — transient faults hit the data path, not the
+// hardware flow control — so callers must decide what a dropped or
+// corrupted payload means at the far end.
+func (n *Network) SendData(src, dst, payloadBytes int, deliver func(f Fault, marked bool)) {
+	n.send(src, dst, payloadBytes, nil, deliver)
 }
 
-// SendDataEx is SendData with the congestion verdict: deliver also
-// receives whether the packet queued past MarkThreshold at a hot link —
-// the ECN-style congestion-experienced mark the overload-protection
-// layer feeds back to senders.
-func (n *Network) SendDataEx(src, dst, payloadBytes int, deliver func(f Fault, marked bool)) {
-	n.send(src, dst, payloadBytes, true, deliver)
+// packet is one packet in flight, from send to delivery. Records are
+// recycled through Network.free, and arrive, the arrival event's
+// continuation, is built once with the record, so a send allocates
+// nothing once enough records exist for the traffic in flight.
+type packet struct {
+	n      *Network
+	ctl    func()                     // control packet delivery
+	data   func(f Fault, marked bool) // data packet delivery
+	fault  Fault
+	marked bool
+	// A data packet in flight sits in n.flights at index flight (-1
+	// when untracked), so a link dying under it can claim it: forced
+	// drops it at delivery.
+	route  [][2]int
+	flight int
+	forced bool
+	arrive func()
+	next   *packet
 }
 
-func (n *Network) send(src, dst, payloadBytes int, faultable bool, deliver func(f Fault, marked bool)) {
+// newPacket takes a record from the free list, building one when the
+// list is empty.
+//
+//t3d:hotpath
+func (n *Network) newPacket(ctl func(), data func(Fault, bool)) *packet {
+	pk := n.free
+	if pk == nil {
+		//lint:allow hotalloc built once per packet in flight at the high-water mark, then recycled
+		pk = &packet{n: n}
+		pk.arrive = pk.arrived
+	} else {
+		n.free = pk.next
+	}
+	pk.ctl, pk.data = ctl, data
+	pk.fault, pk.marked, pk.route, pk.flight, pk.forced = FaultNone, false, nil, -1, false
+	return pk
+}
+
+// arrived delivers the packet. The record goes back on the free list
+// before the delivery runs, because a delivery often sends again.
+func (pk *packet) arrived() {
+	n := pk.n
+	f, marked, ctl, data := pk.fault, pk.marked, pk.ctl, pk.data
+	if pk.flight >= 0 {
+		if pk.forced && f != FaultDrop {
+			f = FaultDrop
+			n.Dropped++
+		}
+		n.untrackFlight(pk)
+	}
+	pk.next, n.free = n.free, pk
+	if data != nil {
+		data(f, marked)
+	} else {
+		ctl()
+	}
+}
+
+func (n *Network) send(src, dst, payloadBytes int, ctl func(), data func(Fault, bool)) {
+	faultable := data != nil
 	n.Packets++
 	n.PayloadBytes += int64(payloadBytes)
 	occ := n.occupancy(payloadBytes)
@@ -323,7 +377,9 @@ func (n *Network) send(src, dst, payloadBytes int, faultable bool, deliver func(
 		n.Unroutable++
 		if faultable {
 			n.Dropped++
-			n.eng.At(t+1, func() { deliver(FaultDrop, false) })
+			pk := n.newPacket(nil, data)
+			pk.fault = FaultDrop
+			n.eng.At(t+1, pk.arrive)
 		}
 		return
 	}
@@ -355,10 +411,11 @@ func (n *Network) send(src, dst, payloadBytes int, faultable bool, deliver func(
 	if marked {
 		n.MarkedPackets++
 	}
-	fault := FaultNone
+	pk := n.newPacket(ctl, data)
+	pk.marked = marked
 	if faultable && n.hook != nil {
-		fault = n.hook.PacketFault(src, dst, payloadBytes, route, hopTimes)
-		switch fault {
+		pk.fault = n.hook.PacketFault(src, dst, payloadBytes, route, hopTimes)
+		switch pk.fault {
 		case FaultDrop:
 			n.Dropped++
 		case FaultCorrupt:
@@ -367,26 +424,15 @@ func (n *Network) send(src, dst, payloadBytes int, faultable bool, deliver func(
 	}
 	// Data packets stay registered while in flight so a link dying under
 	// them can claim them retroactively (FailLink).
-	var flightID int64
 	if faultable {
-		flightID = n.trackFlight(route)
+		n.trackFlight(pk, route)
 	}
 	// Tail arrives one packet-length after the head on the final hop.
 	arrival := t + occ
 	if len(route) == 0 {
 		arrival = t + 1 // self-send: loopback in the shell
 	}
-	n.eng.At(arrival, func() {
-		f := fault
-		if flightID != 0 {
-			if fl := n.flights[flightID]; fl != nil && fl.forced && f != FaultDrop {
-				f = FaultDrop
-				n.Dropped++
-			}
-			delete(n.flights, flightID)
-		}
-		deliver(f, marked)
-	})
+	n.eng.At(arrival, pk.arrive)
 }
 
 // LinkBacklog reports how many cycles of already-committed traffic a new

@@ -306,7 +306,7 @@ func TestFaultHookDataVsControl(t *testing.T) {
 	var dataFault Fault = -1
 	controlDelivered := false
 	eng.Spawn("s", func(p *sim.Proc) {
-		n.SendData(0, 1, 8, func(f Fault) { dataFault = f })
+		n.SendData(0, 1, 8, func(f Fault, _ bool) { dataFault = f })
 		n.Send(0, 1, 8, func() { controlDelivered = true })
 	})
 	eng.Run()
@@ -335,7 +335,7 @@ func TestFaultHookCorruptStat(t *testing.T) {
 	n.SetFaultHook(&dropAll{verdict: FaultCorrupt})
 	got := FaultNone
 	eng.Spawn("s", func(p *sim.Proc) {
-		n.SendData(0, 1, 16, func(f Fault) { got = f })
+		n.SendData(0, 1, 16, func(f Fault, _ bool) { got = f })
 	})
 	eng.Run()
 	if got != FaultCorrupt || n.Corrupted != 1 {

@@ -38,14 +38,13 @@ func (n *Network) FailLink(node, dir int) {
 	n.dead[node][dir] = true
 	n.deadLinks++
 	n.invalidateRoutes()
-	//lint:allow determinism every flight crossing the dead link gets the same forced mark; the set of marks and the counter total are order-independent
-	for _, fl := range n.flights {
-		if fl.forced {
+	for _, pk := range n.flights {
+		if pk.forced {
 			continue
 		}
-		for _, hop := range fl.route {
+		for _, hop := range pk.route {
 			if hop[0] == node && hop[1] == dir {
-				fl.forced = true
+				pk.forced = true
 				n.HardDropped++
 				break
 			}
@@ -299,18 +298,18 @@ func (n *Network) bfsRoute(src, dst int) ([][2]int, bool) {
 	return route, true
 }
 
-// flight tracks one in-flight data packet so a link dying mid-transit
-// can retroactively claim it.
-type flight struct {
-	route  [][2]int
-	forced bool // force-drop at delivery: a route link hard-faulted
+// trackFlight registers a data packet in flight over route.
+func (n *Network) trackFlight(pk *packet, route [][2]int) {
+	pk.route, pk.flight = route, len(n.flights)
+	n.flights = append(n.flights, pk)
 }
 
-// trackFlight registers a data packet and returns its id.
-func (n *Network) trackFlight(route [][2]int) int64 {
-	n.flightSeq++
-	n.flights[n.flightSeq] = &flight{route: route}
-	return n.flightSeq
+// untrackFlight removes a landed data packet, moving the last flight
+// into its slot.
+func (n *Network) untrackFlight(pk *packet) {
+	last := n.flights[len(n.flights)-1]
+	n.flights[pk.flight], last.flight = last, pk.flight
+	n.flights = n.flights[:len(n.flights)-1]
 }
 
 // RerouteStats reports how many packets took a non-minimal path and the

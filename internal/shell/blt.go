@@ -137,7 +137,9 @@ func (s *Shell) bltStart(p *sim.Proc, dir BLTDir, peer int, localOff, remoteOff,
 // the destination words poisoned, so even a caller that swallows the
 // trap cannot read the damage silently.
 func (s *Shell) BLTWait(p *sim.Proc) {
-	sim.Await(p, s.bltSig, func() bool { return !s.bltBusy })
+	for s.bltBusy {
+		p.WaitSignal(s.bltSig)
+	}
 	if s.bltPoison {
 		a := s.bltPoisonAddr
 		s.bltPoison = false
@@ -149,7 +151,9 @@ func (s *Shell) BLTWait(p *sim.Proc) {
 // and clears any poison status without trapping — the epoch's data is
 // being rolled back anyway.
 func (s *Shell) BLTDiscard(p *sim.Proc) {
-	sim.Await(p, s.bltSig, func() bool { return !s.bltBusy })
+	for s.bltBusy {
+		p.WaitSignal(s.bltSig)
+	}
 	s.bltPoison = false
 }
 

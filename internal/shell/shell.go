@@ -11,7 +11,6 @@
 package shell
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"repro/internal/addr"
@@ -72,6 +71,7 @@ func (f *Fabric) AddNode(dram *mem.DRAM, l1 *cache.Cache) *Shell {
 		bltSig:       sim.NewSignal(fmt.Sprintf("shell%d.blt", pe)),
 		arrival:      sim.NewSignal(fmt.Sprintf("shell%d.arrival", pe)),
 		cePending:    make([]bool, f.Net.Nodes()),
+		pq:           make([]pqSlot, f.Cfg.PrefetchEntries),
 	}
 	s.annex[addr.LocalAnnex] = AnnexEntry{PE: pe}
 	f.Nodes = append(f.Nodes, &Node{PE: pe, DRAM: dram, L1: l1, Shell: s})
@@ -101,8 +101,16 @@ type Shell struct {
 	outstandingWrites int
 	writeChanged      *sim.Signal
 
-	pq    []*pqSlot
-	pqSig *sim.Signal
+	// pq is the prefetch FIFO, a ring of PrefetchEntries slots: pqLen
+	// outstanding prefetches from pqHead on.
+	pq            []pqSlot
+	pqHead, pqLen int
+	pqSig         *sim.Signal
+
+	// Recycled transaction records (tx.go).
+	freeReads   *readTx
+	freeWrites  *writeTx
+	freeAtomics *atomicTx
 
 	// arrival fires whenever a remote write lands in this node's memory —
 	// the event a polling receiver's cache-invalidate would surface. The
@@ -293,15 +301,12 @@ func (s *Shell) ReadWord(p *sim.Proc, pa int64, size int) uint64 {
 	off := addr.Offset(pa)
 	s.RemoteReads++
 	p.Wait(s.cfg.IssueExtra)
-	done := sim.NewSignal("readword")
-	var val uint64
-	var poisoned bool
-	//lint:allow hotalloc the read transaction's event chain: one injection continuation and one completion closure per outstanding read
-	s.startRead(e.PE, off, size, func(v uint64, _ []byte, poi bool) {
-		val, poisoned = v, poi
-		done.Fire(s.eng)
-	})
-	p.WaitSignal(done)
+	tx := s.getRead(e.PE, off, size)
+	tx.done = tx.wordDone
+	s.afterInject(&s.reqPort, s.cfg.ReqInject, tx.sendFn)
+	p.WaitSignal(tx.done)
+	val, poisoned := tx.val, tx.poisoned
+	s.putRead(tx)
 	p.Wait(s.cfg.RespAccept)
 	if poisoned {
 		// The response arrived but its payload is an uncorrectable
@@ -323,78 +328,18 @@ func (s *Shell) ReadLine(p *sim.Proc, pa int64, line []byte) {
 	off := addr.Offset(pa)
 	s.RemoteReads++
 	p.Wait(s.cfg.IssueExtra)
-	done := sim.NewSignal("readline")
-	var poisoned bool
-	//lint:allow hotalloc the line-fill transaction's event chain: one injection continuation and one completion closure per outstanding read
-	s.startRead(e.PE, off, len(line), func(_ uint64, data []byte, poi bool) {
-		copy(line, data)
-		poisoned = poi
-		done.Fire(s.eng)
-	})
-	p.WaitSignal(done)
+	tx := s.getRead(e.PE, off, len(line))
+	tx.done = tx.lineDone
+	s.afterInject(&s.reqPort, s.cfg.ReqInject, tx.sendFn)
+	p.WaitSignal(tx.done)
+	copy(line, tx.data[:tx.size])
+	poisoned := tx.poisoned
+	s.putRead(tx)
 	p.Wait(s.cfg.RespAccept + s.cfg.CachedFillExtra)
 	if poisoned {
 		// Unwind before the caller can install the line in its cache.
 		panic(&mem.PoisonError{PE: e.PE, Addr: off})
 	}
-}
-
-// startRead launches the request/response event chain for a remote read
-// of size bytes at off on node pe, paying the full request-injection cost.
-// finish runs at the moment the response tail arrives back at this node.
-func (s *Shell) startRead(pe int, off int64, size int, finish func(val uint64, data []byte, poisoned bool)) {
-	start := s.reqPort.Acquire(s.eng.Now(), s.cfg.ReqInject)
-	s.eng.At(start+s.cfg.ReqInject, func() {
-		s.sendReadRequest(pe, off, size, finish)
-	})
-}
-
-// sendReadRequest is the post-injection half of startRead, used directly
-// by prefetch requests (which pay the cheaper FetchInject instead).
-func (s *Shell) sendReadRequest(pe int, off int64, size int, finish func(val uint64, data []byte, poisoned bool)) {
-	s.fab.Net.Send(s.pe, pe, 8, func() { // request carries the address
-		rn := s.node(pe)
-		t := s.eng.Now() + s.cfg.RemoteReadProc
-		service, complete, rowHit := rn.DRAM.ReadAccessTimes(t, off)
-		if !rowHit {
-			complete += s.cfg.RemoteRowMissExtra
-		}
-		data := make([]byte, size)
-		var val uint64
-		var corrected int
-		var poisoned bool
-		s.eng.At(service, func() {
-			// Latch the data when the bank samples the array, not when
-			// the full access completes — a concurrently queued write
-			// behind us at the bank must not leak into this read. The
-			// data streams through the SECDED pipe on its way out:
-			// single-bit faults are repaired (the response is held back
-			// ECCPenalty per correction), double-bit faults tag the
-			// response poisoned instead of trusting the bytes.
-			var pw []int64
-			corrected, pw = rn.DRAM.ReadChecked(off, data)
-			poisoned = len(pw) > 0
-			switch size {
-			case 8:
-				val = binary.LittleEndian.Uint64(data)
-			case 4:
-				val = uint64(binary.LittleEndian.Uint32(data))
-			}
-		})
-		s.eng.At(complete, func() {
-			respond := func() {
-				rs := rn.Shell.respPort.Acquire(s.eng.Now(), s.cfg.RespInject)
-				s.eng.At(rs+s.cfg.RespInject, func() {
-					s.fab.Net.Send(pe, s.pe, size, func() { finish(val, data, poisoned) })
-				})
-			}
-			if corrected > 0 {
-				s.eng.After(rn.DRAM.Config().ECCPenalty*sim.Time(corrected), respond)
-			} else {
-				respond()
-			}
-		})
-	})
 }
 
 // --- Remote writes and prefetch injection ---
@@ -433,88 +378,38 @@ func (s *Shell) injectWrite(p *sim.Proc, e *wbuf.Entry) {
 	// it from here until the ack returns (§4.3).
 	s.outstandingWrites++
 	s.RemoteWrites++
-	entry := *e // snapshot: the buffer slot is reused after drain
-	s.fab.Net.SendDataEx(s.pe, ae.PE, nbytes, func(fault net.Fault, marked bool) {
-		rn := s.node(ae.PE)
-		t := s.eng.Now() + s.cfg.WriteRemoteProc
-		complete, _ := rn.DRAM.WriteAccess(t, lineOff)
-		s.eng.At(complete, func() {
-			// Data is visible once the remote DRAM write completes; only
-			// the acknowledgement takes the longer pipeline back out. A
-			// transient fault damages the payload but not the envelope:
-			// a dropped payload writes nothing, a corrupted one writes
-			// bit-flipped bytes — in both cases the hardware still
-			// acknowledges, so only an end-to-end check can notice.
-			switch fault {
-			case net.FaultDrop:
-				// Payload lost in flight.
-			case net.FaultCorrupt:
-				entry.Bytes(func(a int64, v byte) {
-					rn.DRAM.Write(addr.Offset(a), []byte{v ^ 0xA5})
-				})
-			default:
-				entry.Bytes(func(a int64, v byte) {
-					rn.DRAM.Write(addr.Offset(a), []byte{v})
-				})
-			}
-			if s.cfg.InvalidateMode {
-				// Cache-invalidate mode: flush the target line on the
-				// owning node whether or not it is cached (§4.4).
-				rn.L1.Invalidate(lineOff)
-			}
-			if marked {
-				rn.Shell.noteCongestion(s.pe)
-			}
-			rn.Shell.arrival.Fire(s.eng)
-			s.eng.After(s.cfg.WriteAckExtra, func() {
-				as := rn.Shell.respPort.Acquire(s.eng.Now(), s.cfg.AckInject)
-				s.eng.At(as+s.cfg.AckInject, func() {
-					s.fab.Net.Send(ae.PE, s.pe, 0, func() {
-						s.outstandingWrites--
-						s.writeChanged.Fire(s.eng)
-					})
-				})
-			})
-		})
-	})
+	tx := s.getWrite()
+	tx.rn, tx.lineOff, tx.entry = s.node(ae.PE), lineOff, *e
+	s.fab.Net.SendData(s.pe, ae.PE, nbytes, tx.deliverFn)
 }
 
 func (s *Shell) injectFetch(p *sim.Proc, e *wbuf.Entry) {
 	ae := s.annex[addr.Annex(e.FetchAddr)]
 	s.checkReachable(ae.PE)
 	off := addr.Offset(e.FetchAddr)
-	if len(s.pq) >= s.cfg.PrefetchEntries {
+	if s.pqLen >= s.cfg.PrefetchEntries {
 		panic(fmt.Sprintf("shell: prefetch queue overflow on PE %d (>%d outstanding)",
 			s.pe, s.cfg.PrefetchEntries))
 	}
-	slot := &pqSlot{srcPE: ae.PE, addr: off}
-	s.pq = append(s.pq, slot)
+	slot := &s.pq[(s.pqHead+s.pqLen)%len(s.pq)]
+	*slot = pqSlot{srcPE: ae.PE, addr: off}
+	s.pqLen++
 	s.Prefetches++
 	start := s.storePort.Acquire(p.Now(), s.cfg.FetchInject)
 	p.WaitUntil(start + s.cfg.FetchInject)
-	s.sendReadRequest(ae.PE, off, 8, func(v uint64, _ []byte, poi bool) {
-		// The response still pays the off-chip acceptance path on its way
-		// into the prefetch FIFO, plus the FIFO's own management cost.
-		s.eng.After(s.cfg.RespAccept+s.cfg.PrefetchFillExtra, func() {
-			slot.filled = true
-			slot.val = v
-			slot.poisoned = poi
-			s.pqSig.Fire(s.eng)
-		})
-	})
+	tx := s.getRead(ae.PE, off, 8)
+	tx.slot = slot
+	tx.send()
 }
 
 // PopPrefetch pops the head of the prefetch FIFO: a 23-cycle
 // memory-mapped load (§5.2). It stalls until the head response has
 // arrived. Popping with nothing outstanding is a program error.
 func (s *Shell) PopPrefetch(p *sim.Proc) uint64 {
-	if len(s.pq) == 0 {
+	if s.pqLen == 0 {
 		panic(fmt.Sprintf("shell: PE %d popped an empty prefetch queue", s.pe))
 	}
-	head := s.pq[0]
-	sim.Await(p, s.pqSig, func() bool { return head.filled })
-	p.Wait(s.cfg.PopCost)
-	s.pq = s.pq[1:]
+	head := s.popPrefetch(p)
 	if head.poisoned {
 		panic(&mem.PoisonError{PE: head.srcPE, Addr: head.addr})
 	}
@@ -525,12 +420,22 @@ func (s *Shell) PopPrefetch(p *sim.Proc) uint64 {
 // or not — the rollback path's drain, where the epoch's data is being
 // thrown away anyway and a poison trap would re-enter recovery.
 func (s *Shell) DiscardPrefetches(p *sim.Proc) {
-	for len(s.pq) > 0 {
-		head := s.pq[0]
-		sim.Await(p, s.pqSig, func() bool { return head.filled })
-		p.Wait(s.cfg.PopCost)
-		s.pq = s.pq[1:]
+	for s.pqLen > 0 {
+		s.popPrefetch(p)
 	}
+}
+
+// popPrefetch waits for the FIFO head's response, pays the pop and
+// returns the popped slot.
+func (s *Shell) popPrefetch(p *sim.Proc) pqSlot {
+	head := &s.pq[s.pqHead]
+	for !head.filled {
+		p.WaitSignal(s.pqSig)
+	}
+	p.Wait(s.cfg.PopCost)
+	s.pqHead = (s.pqHead + 1) % len(s.pq)
+	s.pqLen--
+	return *head
 }
 
 // --- Write-completion status ---
@@ -562,26 +467,12 @@ func (s *Shell) FetchInc(p *sim.Proc, pe, reg int) uint64 {
 	}
 	s.checkReachable(pe)
 	p.Wait(s.cfg.IssueExtra)
-	done := sim.NewSignal("fi")
-	var val uint64
-	start := s.reqPort.Acquire(p.Now(), s.cfg.ReqInject)
-	s.eng.At(start+s.cfg.ReqInject, func() {
-		s.fab.Net.Send(s.pe, pe, 8, func() {
-			rsh := s.node(pe).Shell
-			s.eng.At(s.eng.Now()+s.cfg.FIAccess, func() {
-				v := rsh.fi[reg]
-				rsh.fi[reg]++
-				rs := rsh.respPort.Acquire(s.eng.Now(), s.cfg.RespInject)
-				s.eng.At(rs+s.cfg.RespInject, func() {
-					s.fab.Net.Send(pe, s.pe, 8, func() {
-						val = v
-						done.Fire(s.eng)
-					})
-				})
-			})
-		})
-	})
-	p.WaitSignal(done)
+	tx := s.getAtomic(pe)
+	tx.swap, tx.reg, tx.done = false, reg, tx.fiDone
+	s.afterInject(&s.reqPort, s.cfg.ReqInject, tx.sendFn)
+	p.WaitSignal(tx.done)
+	val := tx.val
+	s.putAtomic(tx)
 	p.Wait(s.cfg.RespAccept)
 	return val
 }
@@ -601,36 +492,12 @@ func (s *Shell) Swap(p *sim.Proc, pa int64, v uint64) uint64 {
 	s.checkReachable(ae.PE)
 	off := addr.Offset(pa)
 	p.Wait(s.cfg.IssueExtra)
-	done := sim.NewSignal("swap")
-	var old uint64
-	var poisoned bool
-	start := s.reqPort.Acquire(p.Now(), s.cfg.ReqInject)
-	s.eng.At(start+s.cfg.ReqInject, func() {
-		s.fab.Net.Send(s.pe, ae.PE, 16, func() {
-			rn := s.node(ae.PE)
-			t := s.eng.Now() + s.cfg.SwapAccess
-			complete, _ := rn.DRAM.ReadAccess(t, off)
-			s.eng.At(complete, func() {
-				// The read half goes through the SECDED pipe like any
-				// other read; the write half installs v regardless,
-				// which also clears the word's fault state.
-				o, _, poi := rn.DRAM.Read64Checked(off)
-				rn.DRAM.Write64(off, v)
-				if s.cfg.InvalidateMode {
-					rn.L1.Invalidate(off)
-				}
-				rs := rn.Shell.respPort.Acquire(s.eng.Now(), s.cfg.RespInject)
-				s.eng.At(rs+s.cfg.RespInject, func() {
-					s.fab.Net.Send(ae.PE, s.pe, 8, func() {
-						old = o
-						poisoned = poi
-						done.Fire(s.eng)
-					})
-				})
-			})
-		})
-	})
-	p.WaitSignal(done)
+	tx := s.getAtomic(ae.PE)
+	tx.swap, tx.off, tx.in, tx.done = true, off, v, tx.swapDone
+	s.afterInject(&s.reqPort, s.cfg.ReqInject, tx.sendFn)
+	p.WaitSignal(tx.done)
+	old, poisoned := tx.val, tx.poisoned
+	s.putAtomic(tx)
 	p.Wait(s.cfg.RespAccept)
 	if poisoned {
 		panic(&mem.PoisonError{PE: ae.PE, Addr: off})

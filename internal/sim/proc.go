@@ -239,9 +239,6 @@ type waiter struct {
 }
 
 // NewSignal returns a named signal.
-//
-//t3d:hotpath
-//lint:allow hotalloc one signal object per outstanding transaction; header pooling is ROADMAP item 1(c) (closure-free shell transactions)
 func NewSignal(name string) *Signal { return &Signal{name: name} }
 
 // Fire wakes all procs currently blocked on the signal. The wakeups are

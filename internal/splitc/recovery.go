@@ -496,7 +496,7 @@ func (r *Recovery) awaitRollback(c *Ctx) bool {
 func (r *Recovery) rollbackQuiesce(c *Ctx) {
 	c.Node.CPU.MB(c.P)
 	c.Node.Shell.DiscardPrefetches(c.P)
-	c.gets = nil
+	c.gets = c.gets[:0]
 	c.Node.Shell.WaitWritesComplete(c.P)
 	c.Node.Shell.BLTDiscard(c.P)
 	c.relPending = nil

@@ -149,6 +149,7 @@ func (rt *Runtime) newCtx(p *sim.Proc, n *machine.Node) *Ctx {
 		Node:      n,
 		heapNext:  rt.Cfg.HeapBase,
 		boundPE:   -1,
+		annexMap:  make([]int8, len(rt.M.Nodes)),
 		annexNext: dataAnnexLow,
 	}
 	for i := range c.annexMap {
@@ -170,13 +171,15 @@ type Ctx struct {
 	boundPE     int
 	boundCached bool
 
-	// Multi-annex strategy state: PE -> annex register, round-robin
-	// victim selection.
-	annexMap  [1 << 16]int8
+	// Multi-annex strategy state: PE -> annex register (-1 when none),
+	// round-robin victim selection.
+	annexMap  []int8
 	annexOcc  [dataAnnexHigh + 1]int
 	annexNext int
 
-	// Outstanding gets: the runtime table of prefetch target addresses.
+	// Outstanding gets: the runtime table of prefetch target addresses,
+	// oldest first. drainGets retires from the front into the same
+	// backing array, so steady-state gets do not regrow it.
 	gets []int64
 
 	// Reliable-mode write records awaiting verification. relPending is

@@ -376,3 +376,60 @@ func TestLocalRegionRestoresConsistency(t *testing.T) {
 		t.Errorf("remote reader saw %d, want 42: privatization did not restore ordering", observed)
 	}
 }
+
+// TestRemoteOpsDoNotAllocate pins each remote operation's steady state
+// at zero allocations, once the shell's transaction records, the
+// network's packet records and the Split-C get table have reached their
+// high-water marks: a daemon proc on PE 0 runs 64 operations of one kind
+// against PE 1 per round.
+func TestRemoteOpsDoNotAllocate(t *testing.T) {
+	const opsPerRound = 64
+	rt := newRT(2)
+	base := rt.Cfg.HeapBase
+	target := func(i int) GlobalPtr { return Global(1, base+int64(i)*8) }
+	ops := []struct {
+		name string
+		op   func(c *Ctx, i int)
+	}{
+		{"Read", func(c *Ctx, i int) { c.Read(target(i)) }},
+		{"Write", func(c *Ctx, i int) { c.Write(target(i), uint64(i)) }},
+		{"Get+Sync", func(c *Ctx, i int) {
+			c.Get(base+int64(i)*8, target(i))
+			if i%8 == 7 {
+				c.Sync()
+			}
+		}},
+		{"Put+Sync", func(c *Ctx, i int) {
+			c.Put(target(i), uint64(i))
+			c.Sync()
+		}},
+		{"FetchIncOn", func(c *Ctx, i int) { c.FetchIncOn(1, 0) }},
+		{"SwapOn", func(c *Ctx, i int) { c.SwapOn(target(i), uint64(i)) }},
+	}
+	eng := rt.M.Eng
+	start := sim.NewSignal("start")
+	var op func(c *Ctx, i int)
+	eng.SpawnDaemon("ops", func(p *sim.Proc) {
+		c := rt.newCtx(p, rt.M.Nodes[0])
+		for {
+			p.WaitSignal(start)
+			for i := 0; i < opsPerRound; i++ {
+				op(c, i)
+			}
+		}
+	})
+	fire := func() { start.Fire(eng) }
+	round := func() {
+		eng.At(eng.Now(), fire)
+		eng.Run()
+	}
+	eng.Run() // the daemon parks on start
+	for _, o := range ops {
+		op = o.op
+		round()
+		if a := testing.AllocsPerRun(20, round); a != 0 {
+			t.Errorf("%s: %v allocations per %d operations, want 0", o.name, a, opsPerRound)
+		}
+	}
+	eng.Shutdown()
+}

@@ -43,7 +43,7 @@ func (c *Ctx) drainGets() {
 	for len(c.gets) > 0 {
 		v := c.Node.Shell.PopPrefetch(c.P)
 		dst := c.gets[0]
-		c.gets = c.gets[1:]
+		c.gets = c.gets[:copy(c.gets, c.gets[1:])]
 		c.Node.CPU.Store64(c.P, dst, v)
 	}
 }

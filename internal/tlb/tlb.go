@@ -40,11 +40,18 @@ func WorkstationConfig() Config {
 
 // TLB is a fully-associative, LRU-replacement translation buffer.
 type TLB struct {
-	cfg    Config
-	pages  map[int64]uint64 // page number -> last-use sequence
-	useSeq uint64
+	cfg     Config
+	entries []entry // at most cfg.Entries resident pages, in no order
+	useSeq  uint64
 
 	Hits, Misses int64
+}
+
+// entry is one resident page and the sequence number of its last use;
+// use values are unique, so the smallest names the one LRU victim.
+type entry struct {
+	page int64
+	use  uint64
 }
 
 // New returns an empty TLB.
@@ -55,7 +62,7 @@ func New(cfg Config) *TLB {
 	if cfg.Entries <= 0 {
 		panic("tlb: need at least one entry")
 	}
-	return &TLB{cfg: cfg, pages: make(map[int64]uint64, cfg.Entries)}
+	return &TLB{cfg: cfg, entries: make([]entry, 0, cfg.Entries)}
 }
 
 // Config returns the TLB parameters.
@@ -70,33 +77,39 @@ func (t *TLB) PageOf(addr int64) int64 { return addr / t.cfg.PageSize }
 func (t *TLB) Lookup(addr int64) sim.Time {
 	page := t.PageOf(addr)
 	t.useSeq++
-	if _, ok := t.pages[page]; ok {
-		t.pages[page] = t.useSeq
+	if i := t.find(page); i >= 0 {
+		t.entries[i].use = t.useSeq
 		t.Hits++
 		return 0
 	}
 	t.Misses++
-	if len(t.pages) >= t.cfg.Entries {
-		var lruPage int64
-		lru := t.useSeq + 1
-		//lint:allow determinism use-sequence values are unique per entry, so the strict minimum picks the same victim in any iteration order
-		for p, use := range t.pages {
-			if use < lru {
-				lru = use
-				lruPage = p
-			}
-		}
-		delete(t.pages, lruPage)
+	if n := len(t.entries); n < t.cfg.Entries {
+		t.entries = t.entries[:n+1] // within the capacity New made
+		t.entries[n] = entry{page, t.useSeq}
+		return t.cfg.MissPenalty
 	}
-	t.pages[page] = t.useSeq
+	lru := 0
+	for i := range t.entries {
+		if t.entries[i].use < t.entries[lru].use {
+			lru = i
+		}
+	}
+	t.entries[lru] = entry{page, t.useSeq}
 	return t.cfg.MissPenalty
 }
 
-// Resident reports whether addr's page is currently mapped.
-func (t *TLB) Resident(addr int64) bool {
-	_, ok := t.pages[t.PageOf(addr)]
-	return ok
+// find returns the index of page's entry, or -1 if it is not resident.
+func (t *TLB) find(page int64) int {
+	for i := range t.entries {
+		if t.entries[i].page == page {
+			return i
+		}
+	}
+	return -1
 }
 
+// Resident reports whether addr's page is currently mapped.
+func (t *TLB) Resident(addr int64) bool { return t.find(t.PageOf(addr)) >= 0 }
+
 // Flush empties the TLB.
-func (t *TLB) Flush() { clear(t.pages) }
+func (t *TLB) Flush() { t.entries = t.entries[:0] }

@@ -87,7 +87,7 @@ func TestPropertyOccupancyBounded(t *testing.T) {
 		for _, a := range addrs {
 			tl.Lookup(int64(a))
 		}
-		return len(tl.pages) <= 8
+		return len(tl.entries) <= 8
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

@@ -67,18 +67,22 @@ func (e *Entry) Bytes(fn func(addr int64, v byte)) {
 
 // Sink disposes of one drained entry, blocking p for however long the
 // drain occupies the buffer slot (a local DRAM write, or injection of a
-// remote write/prefetch packet into the shell).
+// remote write/prefetch packet into the shell). e is the slot itself: it
+// is reused once Drain returns, so a sink that needs the entry later
+// keeps a copy.
 type Sink interface {
 	Drain(p *sim.Proc, e *Entry)
 }
 
 // Buffer is the write buffer of one node.
 type Buffer struct {
-	eng      *sim.Engine
-	capacity int
-	sink     Sink
-	entries  []*Entry
-	changed  *sim.Signal // fired on every push and pop
+	eng  *sim.Engine
+	sink Sink
+	// slots is a ring of capacity entries: n occupied from head on,
+	// oldest first.
+	slots   []Entry
+	head, n int
+	changed *sim.Signal // fired on every push and pop
 
 	// Stats for probes and tests.
 	Pushes, Merges, FullStalls int64
@@ -91,10 +95,10 @@ func New(eng *sim.Engine, capacity int, sink Sink) *Buffer {
 		panic("wbuf: capacity must be positive")
 	}
 	return &Buffer{
-		eng:      eng,
-		capacity: capacity,
-		sink:     sink,
-		changed:  sim.NewSignal("wbuf.changed"),
+		eng:     eng,
+		sink:    sink,
+		slots:   make([]Entry, capacity),
+		changed: sim.NewSignal("wbuf.changed"),
 	}
 }
 
@@ -103,26 +107,35 @@ func (b *Buffer) Start(name string) {
 	b.eng.SpawnDaemon(name, b.drainLoop)
 }
 
+// drainLoop hands the oldest entry to the sink and pops it when Drain
+// returns.
 func (b *Buffer) drainLoop(p *sim.Proc) {
 	for {
-		sim.Await(p, b.changed, func() bool { return len(b.entries) > 0 })
-		e := b.entries[0]
+		for b.n == 0 {
+			p.WaitSignal(b.changed)
+		}
+		e := &b.slots[b.head]
 		e.draining = true
 		b.sink.Drain(p, e)
-		b.entries = b.entries[1:]
+		b.head = (b.head + 1) % len(b.slots)
+		b.n--
 		b.changed.Fire(b.eng)
 	}
 }
 
+// entry returns the i-th occupied slot, oldest first.
+func (b *Buffer) entry(i int) *Entry { return &b.slots[(b.head+i)%len(b.slots)] }
+
 // Len reports the number of occupied slots.
-func (b *Buffer) Len() int { return len(b.entries) }
+func (b *Buffer) Len() int { return b.n }
 
 // Empty reports whether the buffer is drained.
-func (b *Buffer) Empty() bool { return len(b.entries) == 0 }
+func (b *Buffer) Empty() bool { return b.n == 0 }
 
 // PushWrite inserts a store of data at addr, blocking p if the buffer is
 // full. Stores to a line with an existing, not-yet-draining write entry
-// merge into it (write merging) and consume no new slot.
+// merge into it (write merging) and consume no new slot. The bytes are
+// copied: data is free for reuse when PushWrite returns.
 //
 //t3d:hotpath
 func (b *Buffer) PushWrite(p *sim.Proc, addr int64, data []byte) {
@@ -135,23 +148,24 @@ func (b *Buffer) PushWrite(p *sim.Proc, addr int64, data []byte) {
 		panic(fmt.Sprintf("wbuf: write at %#x crosses a line boundary", addr))
 	}
 	b.Pushes++
-	for _, e := range b.entries {
-		if e.Kind == KindWrite && e.LineAddr == line && !e.draining {
-			copy(e.Data[off:], data)
-			for i := range data {
-				e.Mask |= 1 << uint(off+int64(i))
-			}
+	for i := 0; i < b.n; i++ {
+		if e := b.entry(i); e.Kind == KindWrite && e.LineAddr == line && !e.draining {
+			e.merge(off, data)
 			b.Merges++
 			return
 		}
 	}
-	//lint:allow hotalloc one entry per distinct in-flight line; merging reuses entries and slots recycle on drain
-	e := &Entry{Kind: KindWrite, LineAddr: line}
+	e := Entry{Kind: KindWrite, LineAddr: line}
+	e.merge(off, data)
+	b.pushSlot(p, e)
+}
+
+// merge writes data into the entry at line offset off.
+func (e *Entry) merge(off int64, data []byte) {
 	copy(e.Data[off:], data)
 	for i := range data {
 		e.Mask |= 1 << uint(off+int64(i))
 	}
-	b.pushSlot(p, e)
 }
 
 // PushFetch inserts a binding-prefetch request for the word at addr,
@@ -160,20 +174,19 @@ func (b *Buffer) PushWrite(p *sim.Proc, addr int64, data []byte) {
 //t3d:hotpath
 func (b *Buffer) PushFetch(p *sim.Proc, addr int64) {
 	b.Pushes++
-	//lint:allow hotalloc one entry per outstanding prefetch; slots recycle on drain
-	e := &Entry{Kind: KindFetch, LineAddr: addr &^ (LineSize - 1), FetchAddr: addr}
-	b.pushSlot(p, e)
+	b.pushSlot(p, Entry{Kind: KindFetch, LineAddr: addr &^ (LineSize - 1), FetchAddr: addr})
 }
 
 //t3d:hotpath
-func (b *Buffer) pushSlot(p *sim.Proc, e *Entry) {
-	if len(b.entries) >= b.capacity {
+func (b *Buffer) pushSlot(p *sim.Proc, e Entry) {
+	if b.n >= len(b.slots) {
 		b.FullStalls++
-		//lint:allow hotalloc wait closure built only on the full-stall slow path
-		sim.Await(p, b.changed, func() bool { return len(b.entries) < b.capacity })
+		for b.n >= len(b.slots) {
+			p.WaitSignal(b.changed)
+		}
 	}
-	//lint:allow hotalloc amortized slot store; the backing array is reused across drains
-	b.entries = append(b.entries, e)
+	*b.entry(b.n) = e
+	b.n++
 	b.changed.Fire(b.eng)
 }
 
@@ -182,11 +195,9 @@ func (b *Buffer) pushSlot(p *sim.Proc, e *Entry) {
 //
 //t3d:hotpath
 func (b *Buffer) WaitEmpty(p *sim.Proc) {
-	if len(b.entries) == 0 {
-		return // drained fast path: no closure, no wait
+	for b.n > 0 {
+		p.WaitSignal(b.changed)
 	}
-	//lint:allow hotalloc wait closure built only when entries are still draining
-	sim.Await(p, b.changed, func() bool { return len(b.entries) == 0 })
 }
 
 // ConflictsWith reports whether a pending write entry covers the line
@@ -194,8 +205,8 @@ func (b *Buffer) WaitEmpty(p *sim.Proc) {
 // synonyms escape it — deliberately, to match the hardware hazard.
 func (b *Buffer) ConflictsWith(addr int64) bool {
 	line := addr &^ (LineSize - 1)
-	for _, e := range b.entries {
-		if e.Kind == KindWrite && e.LineAddr == line {
+	for i := 0; i < b.n; i++ {
+		if e := b.entry(i); e.Kind == KindWrite && e.LineAddr == line {
 			return true
 		}
 	}
@@ -207,9 +218,7 @@ func (b *Buffer) ConflictsWith(addr int64) bool {
 //
 //t3d:hotpath
 func (b *Buffer) WaitNoConflict(p *sim.Proc, addr int64) {
-	if !b.ConflictsWith(addr) {
-		return // conflict-free fast path: no closure, no wait
+	for b.ConflictsWith(addr) {
+		p.WaitSignal(b.changed)
 	}
-	//lint:allow hotalloc wait closure built only on the conflict-stall slow path
-	sim.Await(p, b.changed, func() bool { return !b.ConflictsWith(addr) })
 }
