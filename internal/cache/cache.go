@@ -26,6 +26,11 @@ type Config struct {
 	Assoc    int   // ways per set; 1 = direct mapped
 }
 
+// MaxLineSize is the widest line the machine models run: the CPU and the
+// shell stage a line fill in a fixed buffer of this size rather than
+// allocating one per miss.
+const MaxLineSize = 128
+
 // T3DL1Config is the on-chip data cache of the 21064: 8 KB, direct-mapped,
 // 32-byte lines.
 func T3DL1Config() Config { return Config{Size: 8 << 10, LineSize: 32, Assoc: 1} }
@@ -72,12 +77,17 @@ func New(cfg Config) *Cache {
 	}
 	numSets := lines / int64(cfg.Assoc)
 	c := &Cache{cfg: cfg, numSets: numSets, sets: make([][]line, numSets)}
+	// One backing array for every line and one for all their data. Each
+	// slice is capped at its own end, so a copy cannot run into the next.
+	all := make([]line, lines)
+	data := make([]byte, lines*cfg.LineSize)
+	for i := range all {
+		lo, hi := int64(i)*cfg.LineSize, int64(i+1)*cfg.LineSize
+		all[i].data = data[lo:hi:hi]
+	}
 	for i := range c.sets {
-		ways := make([]line, cfg.Assoc)
-		for j := range ways {
-			ways[j].data = make([]byte, cfg.LineSize)
-		}
-		c.sets[i] = ways
+		lo, hi := i*cfg.Assoc, (i+1)*cfg.Assoc
+		c.sets[i] = all[lo:hi:hi]
 	}
 	return c
 }

@@ -188,3 +188,23 @@ func TestPropertyLineAddrAligned(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestNewAllocatesOneBackingArray pins cache.New's allocations: one
+// array for the lines and one for their data, not two slices per set.
+// Each line's data is capped at its own end.
+func TestNewAllocatesOneBackingArray(t *testing.T) {
+	if n := testing.AllocsPerRun(10, func() { New(T3DL1Config()) }); n > 4 {
+		t.Errorf("New(T3DL1Config()) = %v allocations, want at most 4", n)
+	}
+	c := New(Config{Size: 1 << 10, LineSize: 32, Assoc: 2})
+	for _, set := range c.sets {
+		if cap(set) != 2 {
+			t.Fatalf("set capacity %d, want 2", cap(set))
+		}
+		for _, l := range set {
+			if cap(l.data) != 32 {
+				t.Fatalf("line data capacity %d, want 32", cap(l.data))
+			}
+		}
+	}
+}

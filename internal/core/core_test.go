@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"runtime"
 	"testing"
 	"time"
@@ -93,6 +94,43 @@ func TestInferMemoryT3D(t *testing.T) {
 	}
 	if inf.HasL2 {
 		t.Error("T3D has no L2; inference found one")
+	}
+}
+
+// TestInferLineSizeAcrossL1Lines runs the gray-box loop away from the
+// T3D's 32-byte line: on 2-PE machines with 16-, 32- and 64-byte L1
+// lines, the local read sawtooth must read the configured line size back
+// and a cached remote read, whose line fill crosses the shell, must run.
+func TestInferLineSizeAcrossL1Lines(t *testing.T) {
+	cfg := SawtoothConfig{
+		Sizes:       []int64{4 << 10, 8 << 10, 16 << 10, 32 << 10},
+		MinAccesses: 256,
+		WarmPasses:  1,
+	}
+	for _, line := range []int64{16, 32, 64} {
+		t.Run(fmt.Sprintf("line%d", line), func(t *testing.T) {
+			newMachine := func() *machine.T3D {
+				mc := machine.DefaultConfig(2)
+				mc.L1.LineSize = line
+				m, err := machine.NewChecked(mc)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return m
+			}
+			prof := Sawtooth(newMachine, LocalRead(), cfg)
+			if inf := InferMemory(&prof); inf.LineSize != line || inf.CacheSize != 8<<10 {
+				t.Errorf("inferred %d-byte lines in a %d-byte cache, want %d in 8K", inf.LineSize, inf.CacheSize, line)
+			}
+			cprof := Sawtooth(newMachine, RemoteReadCached(), SawtoothConfig{
+				Sizes: []int64{16 << 10}, MinAccesses: 128, WarmPasses: 1})
+			// Line-mates ride along with each fill.
+			a, _ := cprof.At(16<<10, 8)
+			b, _ := cprof.At(16<<10, line)
+			if a >= b {
+				t.Errorf("cached remote stride 8 (%.1f ns) should be cheaper than stride %d (%.1f ns)", a, line, b)
+			}
+		})
 	}
 }
 

@@ -196,9 +196,8 @@ func (c *CPU) loadLocalChecked(p *sim.Proc, off, pa int64, size int) (uint64, in
 	// Miss: the 21064 stalls a load that conflicts with a pending write
 	// buffer entry (exact physical line match only — synonyms escape).
 	c.WB.WaitNoConflict(p, pa)
-	// Stack staging for the fill: a line is one write-buffer entry wide,
-	// and the caches copy it in.
-	var lineBuf [wbuf.LineSize]byte
+	// Stack staging for the fill; the caches copy it in.
+	var lineBuf [cache.MaxLineSize]byte
 	line := lineBuf[:c.L1.Config().LineSize]
 	lineAddr := c.L1.LineAddr(pa)
 	lineOff := c.L1.LineAddr(off)

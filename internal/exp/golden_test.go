@@ -2,7 +2,8 @@ package exp
 
 // Golden-output regression tests: the simulator is deterministic, so the
 // rendered experiment tables are stable byte for byte. Any timing-model
-// change shows up here as a readable diff. Refresh with:
+// change shows up here as a readable diff. Every experiment is pinned at
+// quick scale, all in this one process. Refresh with:
 //
 //	UPDATE_GOLDEN=1 go test ./internal/exp -run Golden
 
@@ -13,10 +14,19 @@ import (
 	"testing"
 )
 
-var goldenIDs = []string{"hop", "tab3", "fig6"}
+// shortGoldenIDs are the experiments pinned under -short: the race
+// detector makes the full set too slow there.
+var shortGoldenIDs = []string{"hop", "tab3", "fig6"}
 
 func TestGoldenExperimentOutput(t *testing.T) {
-	for _, id := range goldenIDs {
+	ids := shortGoldenIDs
+	if !testing.Short() {
+		ids = nil
+		for _, e := range All() {
+			ids = append(ids, e.ID)
+		}
+	}
+	for _, id := range ids {
 		t.Run(id, func(t *testing.T) {
 			e, ok := Find(id)
 			if !ok {

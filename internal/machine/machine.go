@@ -88,6 +88,9 @@ func NewChecked(cfg Config) (*T3D, error) {
 	if cfg.MemBytes <= 0 {
 		return nil, fmt.Errorf("machine: need positive memory per node, got %d", cfg.MemBytes)
 	}
+	if ls := cfg.L1.LineSize; ls <= 0 || ls&(ls-1) != 0 || ls > cache.MaxLineSize {
+		return nil, fmt.Errorf("machine: L1 line size %d bytes: need a power of two no larger than %d", ls, cache.MaxLineSize)
+	}
 	eng := sim.NewEngine()
 	network := net.New(eng, cfg.Net)
 	fabric := shell.NewFabric(eng, network, cfg.Shell)

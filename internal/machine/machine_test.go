@@ -110,3 +110,16 @@ func TestNewCheckedRejectsBadConfigs(t *testing.T) {
 		t.Errorf("valid config rejected: %v", err)
 	}
 }
+
+// TestNewCheckedRejectsL1LineSize: the CPU and shell stage a line fill
+// in a cache.MaxLineSize buffer, so a wider L1 line, or one that is not
+// a power of two, is refused up front rather than panicking on a miss.
+func TestNewCheckedRejectsL1LineSize(t *testing.T) {
+	for _, ls := range []int64{48, 256} {
+		cfg := DefaultConfig(2)
+		cfg.L1.LineSize = ls
+		if _, err := NewChecked(cfg); err == nil {
+			t.Errorf("%d-byte L1 lines accepted", ls)
+		}
+	}
+}

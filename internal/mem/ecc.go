@@ -30,7 +30,6 @@
 package mem
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/bits"
@@ -155,7 +154,7 @@ func (d *DRAM) InjectFlip(addr int64, mask uint64) {
 	if mask == 0 {
 		return
 	}
-	binary.LittleEndian.PutUint64(d.data[addr:], binary.LittleEndian.Uint64(d.data[addr:])^mask)
+	d.store64(addr, d.load64(addr)^mask)
 	f := d.faults[addr]
 	if f == nil {
 		f = &wordFault{}
@@ -219,7 +218,7 @@ func (d *DRAM) ReadChecked(addr int64, p []byte) (corrected int, poisoned []int6
 	if len(d.faults) > 0 {
 		corrected, poisoned = d.sweepRange(addr, int64(len(p)), true)
 	}
-	copy(p, d.data[addr:])
+	d.copyOut(addr, p)
 	return corrected, poisoned
 }
 
@@ -231,7 +230,7 @@ func (d *DRAM) Read64Checked(addr int64) (v uint64, corrected int, poisoned bool
 		corrected, pw = d.sweepRange(addr, 8, true)
 		poisoned = len(pw) > 0
 	}
-	return binary.LittleEndian.Uint64(d.data[addr:]), corrected, poisoned
+	return d.load64(addr), corrected, poisoned
 }
 
 // sweepRange applies ECC to every word overlapping [addr, addr+n).
@@ -262,7 +261,7 @@ func (d *DRAM) sweepRange(addr, n int64, signal bool) (corrected int, poisoned [
 			}
 			continue
 		}
-		binary.LittleEndian.PutUint64(d.data[w:], binary.LittleEndian.Uint64(d.data[w:])^f.mask)
+		d.store64(w, d.load64(w)^f.mask)
 		delete(d.faults, w)
 		d.integ.Corrected++
 		corrected++
@@ -328,7 +327,7 @@ func (d *DRAM) ScrubRange(addr, n int64) int {
 		if w < addr || w >= end || f.uncorrectable() {
 			continue
 		}
-		binary.LittleEndian.PutUint64(d.data[w:], binary.LittleEndian.Uint64(d.data[w:])^f.mask)
+		d.store64(w, d.load64(w)^f.mask)
 		delete(d.faults, w)
 		d.integ.Scrubbed++
 		repaired++

@@ -12,7 +12,10 @@
 // The DRAM also stores real data: loads and stores through the simulated
 // machine move actual bytes, which is what lets the repository reproduce
 // the paper's correctness hazards (stale reads past the write buffer,
-// incoherent cached remote data) and not just its timing curves.
+// incoherent cached remote data) and not just its timing curves. The
+// bytes live in 4 KiB pages allocated on first write; a page never
+// written reads as zero, so a machine costs host memory only for what
+// its programs touch. Timing never looks at the data.
 package mem
 
 import (
@@ -96,10 +99,20 @@ func WorkstationConfig(size int64) Config {
 	}
 }
 
+// pageSize is the granularity of the host-side store: the unit a first
+// write allocates. It has nothing to do with the DRAM rows of Config.
+const (
+	pageShift = 12
+	pageSize  = 1 << pageShift
+	pageMask  = pageSize - 1
+)
+
+type page [pageSize]byte
+
 // DRAM is a banked page-mode memory holding real data.
 type DRAM struct {
 	cfg   Config
-	data  []byte
+	pages []*page // one slot per pageSize bytes; nil reads as zero
 	banks []bank
 
 	// SECDED state (ecc.go): the fault table maps word-aligned offsets
@@ -126,7 +139,7 @@ func New(cfg Config) *DRAM {
 	}
 	d := &DRAM{
 		cfg:   cfg,
-		data:  make([]byte, cfg.Size),
+		pages: make([]*page, (cfg.Size+pageMask)>>pageShift),
 		banks: make([]bank, cfg.Banks),
 	}
 	for i := range d.banks {
@@ -137,34 +150,65 @@ func New(cfg Config) *DRAM {
 
 // Snapshot copies the full memory image into buf (allocating when buf is
 // too small) and returns it — the checkpoint primitive for rollback
-// recovery. Only data is captured; bank timing state is transient and
+// recovery. Pages never written come out as zeros, whatever buf held
+// before. Only data is captured; bank timing state is transient and
 // reconverges within one access.
 func (d *DRAM) Snapshot(buf []byte) []byte {
 	if int64(len(buf)) < d.cfg.Size {
 		buf = make([]byte, d.cfg.Size)
 	}
-	copy(buf, d.data)
-	return buf[:d.cfg.Size]
+	buf = buf[:d.cfg.Size]
+	for i, pg := range d.pages {
+		addr := int64(i) * pageSize
+		dst := buf[addr:min(addr+pageSize, d.cfg.Size)]
+		if pg == nil {
+			clear(dst)
+		} else {
+			copy(dst, pg[:])
+		}
+	}
+	return buf
 }
 
-// Restore overwrites memory with a Snapshot image. Every latent fault
-// is overwritten with it — the property that lets a rollback clear
-// poison the same way it clears any other corruption.
+// Restore overwrites memory with a Snapshot image; a page that is all
+// zero in the image goes back to unallocated. Every latent fault is
+// overwritten with it — the property that lets a rollback clear poison
+// the same way it clears any other corruption.
 func (d *DRAM) Restore(img []byte) {
 	if int64(len(img)) != d.cfg.Size {
 		panic(fmt.Sprintf("mem: Restore image %d bytes, memory %d", len(img), d.cfg.Size))
 	}
-	copy(d.data, img)
+	for i := range d.pages {
+		addr := int64(i) * pageSize
+		src := img[addr:min(addr+pageSize, d.cfg.Size)]
+		if allZero(src) {
+			d.pages[i] = nil
+		} else {
+			copy(d.pageAt(addr)[:], src)
+		}
+	}
 	d.clearAllFaults()
 }
 
 // Zero clears all memory — the fail-stop model of a node whose volatile
 // state is lost in a crash. Latent faults are lost with it.
 func (d *DRAM) Zero() {
-	for i := range d.data {
-		d.data[i] = 0
-	}
+	clear(d.pages)
 	d.clearAllFaults()
+}
+
+func allZero(b []byte) bool {
+	for ; len(b) >= 8; b = b[8:] {
+		if binary.LittleEndian.Uint64(b) != 0 {
+			return false
+		}
+	}
+	for _, c := range b {
+		if c != 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // Config returns the configuration the DRAM was built with.
@@ -243,14 +287,14 @@ func (d *DRAM) Read(addr int64, p []byte) {
 	if len(d.faults) > 0 {
 		d.sweepRange(addr, int64(len(p)), false)
 	}
-	copy(p, d.data[addr:])
+	d.copyOut(addr, p)
 }
 
 // Write copies p into memory starting at addr.
 func (d *DRAM) Write(addr int64, p []byte) {
 	d.checkRange(addr, len(p))
 	d.clearOnWrite(addr, int64(len(p)))
-	copy(d.data[addr:], p)
+	d.copyIn(addr, p)
 }
 
 // Read64 returns the little-endian 64-bit word at addr (raw host
@@ -260,35 +304,95 @@ func (d *DRAM) Read64(addr int64) uint64 {
 	if len(d.faults) > 0 {
 		d.sweepRange(addr, 8, false)
 	}
-	return binary.LittleEndian.Uint64(d.data[addr:])
+	return d.load64(addr)
 }
 
 // Write64 stores v as a little-endian 64-bit word at addr.
 func (d *DRAM) Write64(addr int64, v uint64) {
 	d.checkRange(addr, 8)
 	d.clearOnWrite(addr, 8)
-	binary.LittleEndian.PutUint64(d.data[addr:], v)
+	d.store64(addr, v)
 }
 
 // Read32 returns the little-endian 32-bit word at addr (raw host
 // window; see Read).
 func (d *DRAM) Read32(addr int64) uint32 {
-	d.checkRange(addr, 4)
-	if len(d.faults) > 0 {
-		d.sweepRange(addr, 4, false)
-	}
-	return binary.LittleEndian.Uint32(d.data[addr:])
+	var b [4]byte
+	d.Read(addr, b[:])
+	return binary.LittleEndian.Uint32(b[:])
 }
 
 // Write32 stores v as a little-endian 32-bit word at addr.
 func (d *DRAM) Write32(addr int64, v uint32) {
-	d.checkRange(addr, 4)
-	d.clearOnWrite(addr, 4)
-	binary.LittleEndian.PutUint32(d.data[addr:], v)
+	var b [4]byte
+	binary.LittleEndian.PutUint32(b[:], v)
+	d.Write(addr, b[:])
 }
 
 func (d *DRAM) checkRange(addr int64, n int) {
 	if addr < 0 || addr+int64(n) > d.cfg.Size {
 		panic(fmt.Sprintf("mem: data access [%#x,%#x) outside %d-byte memory", addr, addr+int64(n), d.cfg.Size))
 	}
+}
+
+// pageAt returns the page holding addr, allocating it on first touch.
+// Only write paths call it.
+func (d *DRAM) pageAt(addr int64) *page {
+	pg := d.pages[addr>>pageShift]
+	if pg == nil {
+		pg = new(page)
+		d.pages[addr>>pageShift] = pg
+	}
+	return pg
+}
+
+// copyOut copies memory starting at addr into p, page by page; a
+// missing page reads as zeros and stays missing.
+func (d *DRAM) copyOut(addr int64, p []byte) {
+	for len(p) > 0 {
+		off := addr & pageMask
+		var n int
+		if pg := d.pages[addr>>pageShift]; pg != nil {
+			n = copy(p, pg[off:])
+		} else {
+			n = min(len(p), int(pageSize-off))
+			clear(p[:n])
+		}
+		p = p[n:]
+		addr += int64(n)
+	}
+}
+
+// copyIn copies p into memory starting at addr, page by page.
+func (d *DRAM) copyIn(addr int64, p []byte) {
+	for len(p) > 0 {
+		n := copy(d.pageAt(addr)[addr&pageMask:], p)
+		p = p[n:]
+		addr += int64(n)
+	}
+}
+
+// load64 and store64 move one little-endian word. A word inside one
+// page takes the direct path; one straddling two pages (an unaligned
+// address) goes through a byte copy.
+func (d *DRAM) load64(addr int64) uint64 {
+	if off := addr & pageMask; off <= pageSize-8 {
+		if pg := d.pages[addr>>pageShift]; pg != nil {
+			return binary.LittleEndian.Uint64(pg[off:])
+		}
+		return 0
+	}
+	var b [8]byte
+	d.copyOut(addr, b[:])
+	return binary.LittleEndian.Uint64(b[:])
+}
+
+func (d *DRAM) store64(addr int64, v uint64) {
+	if off := addr & pageMask; off <= pageSize-8 {
+		binary.LittleEndian.PutUint64(d.pageAt(addr)[off:], v)
+		return
+	}
+	var b [8]byte
+	binary.LittleEndian.PutUint64(b[:], v)
+	d.copyIn(addr, b[:])
 }

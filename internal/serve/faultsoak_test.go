@@ -23,7 +23,8 @@ func TestServerDegradedMode(t *testing.T) {
 		JournalPath: filepath.Join(t.TempDir(), "deg.journal"),
 		FS:          fsys,
 		HealBackoff: time.Millisecond,
-		Pool:        PoolConfig{Workers: 1, QueueDepth: 8},
+		// A slow host must not halve the admission window.
+		Pool: PoolConfig{Workers: 1, QueueDepth: 8, TargetWait: time.Minute},
 	})
 
 	// A healthy job first: its result must survive the whole brownout.
@@ -32,7 +33,22 @@ func TestServerDegradedMode(t *testing.T) {
 	if err != nil {
 		t.Fatalf("healthy submit: %v", err)
 	}
+	// A job is done before its worker leaves the pool's running count.
+	// Until it does, admission counts it beside the next job and can
+	// shed a submit before it reaches the journal, so wait for the count.
+	awaitCompleted := func(n int64) {
+		t.Helper()
+		for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+			if _, completed, _ := s.pool.Stats(); completed >= n {
+				return
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("pool never counted %d jobs complete", n)
+			}
+		}
+	}
 	awaitJob(t, j)
+	awaitCompleted(1)
 	warmDigest := j.Result.Digest
 
 	// A slow job admitted while healthy, still running when the disk
@@ -62,6 +78,7 @@ func TestServerDegradedMode(t *testing.T) {
 	}
 	// The in-flight job completes during the outage.
 	awaitJob(t, inflight)
+	awaitCompleted(2)
 	if inflight.State() != StateDone {
 		t.Fatalf("in-flight job ended %v (%s) during brownout", inflight.State(), inflight.Err)
 	}

@@ -18,6 +18,7 @@ type Barrier struct {
 	arming  int64 // generation currently collecting arms
 	armed   int
 	highSig *sim.Signal
+	raiseFn func() // b.raise, built once and scheduled every generation
 
 	// Crossings counts completed barrier generations.
 	Crossings int64
@@ -28,13 +29,15 @@ type BarrierTicket struct{ gen int64 }
 
 // NewBarrier builds a barrier spanning n nodes.
 func NewBarrier(eng *sim.Engine, n int, armCost, propDelay sim.Time) *Barrier {
-	return &Barrier{
+	b := &Barrier{
 		eng:     eng,
 		n:       n,
 		arm:     armCost,
 		prop:    propDelay,
 		highSig: sim.NewSignal("barrier.high"),
 	}
+	b.raiseFn = b.raise
+	return b
 }
 
 // Nodes returns the number of participants.
@@ -49,13 +52,16 @@ func (b *Barrier) Arm(p *sim.Proc) BarrierTicket {
 	if b.armed == b.n {
 		b.armed = 0
 		b.arming++
-		b.eng.After(b.prop, func() {
-			b.gen++
-			b.Crossings++
-			b.highSig.Fire(b.eng)
-		})
+		b.eng.After(b.prop, b.raiseFn)
 	}
 	return t
+}
+
+// raise drives the wire high: the generation collecting arms completes.
+func (b *Barrier) raise() {
+	b.gen++
+	b.Crossings++
+	b.highSig.Fire(b.eng)
 }
 
 // Wait blocks until the wire has gone high for the ticket's generation.

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 
 	"repro/internal/addr"
+	"repro/internal/cache"
 	"repro/internal/net"
 	"repro/internal/sim"
 	"repro/internal/wbuf"
@@ -39,7 +40,7 @@ type readTx struct {
 	size int
 
 	// The response, latched when the remote bank samples the array.
-	data      [wbuf.LineSize]byte
+	data      [cache.MaxLineSize]byte
 	val       uint64
 	corrected int
 	poisoned  bool

@@ -1,6 +1,7 @@
 package splitc
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/machine"
@@ -430,6 +431,40 @@ func TestRemoteOpsDoNotAllocate(t *testing.T) {
 		if a := testing.AllocsPerRun(20, round); a != 0 {
 			t.Errorf("%s: %v allocations per %d operations, want 0", o.name, a, opsPerRound)
 		}
+	}
+	eng.Shutdown()
+}
+
+// TestBarrierDoesNotAllocate: two daemon procs cross barriersPerRound
+// barriers per round; a steady-state barrier allocates nothing.
+func TestBarrierDoesNotAllocate(t *testing.T) {
+	const barriersPerRound = 64
+	rt := newRT(2)
+	eng := rt.M.Eng
+	start := sim.NewSignal("start")
+	for pe := range rt.M.Nodes {
+		eng.SpawnDaemon(fmt.Sprintf("barrier%d", pe), func(p *sim.Proc) {
+			c := rt.newCtx(p, rt.M.Nodes[pe])
+			for {
+				p.WaitSignal(start)
+				for i := 0; i < barriersPerRound; i++ {
+					c.Barrier()
+				}
+			}
+		})
+	}
+	fire := func() { start.Fire(eng) }
+	round := func() {
+		eng.At(eng.Now(), fire)
+		eng.Run()
+	}
+	eng.Run() // both daemons park on start
+	round()
+	if got := rt.M.Fabric.Barrier.Crossings; got != barriersPerRound {
+		t.Fatalf("%d barrier crossings in a round, want %d", got, barriersPerRound)
+	}
+	if a := testing.AllocsPerRun(20, round); a != 0 {
+		t.Errorf("%v allocations per %d barriers, want 0", a, barriersPerRound)
 	}
 	eng.Shutdown()
 }
