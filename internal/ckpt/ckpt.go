@@ -8,20 +8,27 @@
 //
 // On-disk format, one file per committed checkpoint:
 //
-//	T3DCKPT1 <8-hex CRC32 of header JSON> <header JSON>\n
-//	<payload: the per-PE DRAM images, concatenated in PE order>
+//	T3DCKPT2 <8-hex CRC32 of header JSON> <header JSON>\n
+//	<payload: each PE's present DRAM pages, mem.PageSize bytes each,
+//	 in PE order and, within a PE, in the header's page order>
 //
 // The header carries the job identity, the epoch the image resumes at,
 // the cumulative simulated cycles the image accounts for, the per-PE
-// shell registers and runtime heap cursors, and a CRC32 of the payload.
-// It is the codec's private form of the snapshot: only Encode and
-// Decode see it. The header line is self-checking (its own CRC) and the
-// payload is checked against the header's PayloadCRC, so a torn or
-// bit-flipped file is a detected refusal, never a silently wrong
-// resume. On top of both CRCs, the journal's checkpointed record stores
-// an FNV-1a digest of the whole file, binding journal entry to file
-// content: a file that was swapped, truncated, or regenerated does not
-// match its record.
+// shell registers and runtime heap cursors, each PE's page table (the
+// numbers of the pages present, ascending; a page not listed reads as
+// zero) and a CRC32 of the payload, so a file costs what the job wrote,
+// not the size of its machine's memory. The header is the codec's
+// private form of the snapshot: only Encode and Decode see it. The
+// header line is self-checking (its own CRC), a page table must ascend
+// without repeats, stay inside mem_len and account for the payload
+// length exactly, and the payload is checked against the header's
+// PayloadCRC, so a torn or bit-flipped file is a detected refusal,
+// never a silently wrong resume. A file of any other version, such as
+// T3DCKPT1 with its dense images, is refused the same way. On top of
+// both CRCs, the journal's checkpointed record stores an FNV-1a digest
+// of the whole file, binding journal entry to file content: a file
+// that was swapped, truncated, or regenerated does not match its
+// record.
 //
 // Publication is tmp + write + fsync + rename: a crash leaves either
 // the previous checkpoint set plus a garbage .tmp (swept at startup) or
@@ -44,13 +51,14 @@ import (
 	"time"
 
 	"repro/internal/hostfs"
+	"repro/internal/mem"
 	"repro/internal/shell"
 	"repro/internal/splitc"
 )
 
 // Version is the checkpoint format version, baked into the magic token
-// ("T3DCKPT1"). Readers refuse other versions rather than guess.
-const Version = 1
+// ("T3DCKPT2"). Readers refuse other versions rather than guess.
+const Version = 2
 
 const magic = "T3DCKPT"
 
@@ -71,15 +79,16 @@ type header struct {
 	Epoch      int         `json:"epoch"`  // epoch a resume of this image starts at
 	Cycles     int64       `json:"cycles"` // cumulative simulated cycles the image accounts for
 	PEs        int         `json:"pes"`
-	MemLen     int64       `json:"mem_len"` // DRAM image bytes per PE
+	MemLen     int64       `json:"mem_len"` // DRAM bytes per PE
 	Heap       []int64     `json:"heap"`    // per-PE runtime heap cursor
 	Regs       [][3]uint64 `json:"regs"`    // per-PE shell registers: FI0, FI1, swap
+	Pages      [][]int     `json:"pages"`   // per-PE present page numbers, ascending
 	PayloadCRC uint32      `json:"payload_crc"`
 }
 
 // Snapshot is one checkpoint file's content: the owning job and the
-// machine snapshot. Decode returns Mem as views into the input buffer;
-// callers that outlive the buffer must copy.
+// machine snapshot. Decode returns each image's Data as a view into
+// the input buffer; callers that outlive the buffer must copy.
 type Snapshot struct {
 	JobID string
 	splitc.MachineSnapshot
@@ -94,30 +103,35 @@ func Encode(s *Snapshot) ([]byte, error) {
 	}
 	h := header{
 		Version: Version, JobID: s.JobID, Epoch: s.Epoch, Cycles: s.Cycles,
-		PEs: pes, MemLen: int64(len(s.Mem[0])), Heap: s.Heap,
-		Regs: make([][3]uint64, pes),
+		PEs: pes, MemLen: s.Mem[0].Size, Heap: s.Heap,
+		Regs:  make([][3]uint64, pes),
+		Pages: make([][]int, pes),
 	}
 	for pe, r := range s.Regs {
 		h.Regs[pe] = [3]uint64{r.FI[0], r.FI[1], r.Swap}
 	}
 	crc := crc32.NewIEEE()
-	for pe, m := range s.Mem {
-		if int64(len(m)) != h.MemLen {
-			return nil, fmt.Errorf("ckpt: encode: pe%d image %d bytes, mem_len %d", pe, len(m), h.MemLen)
+	payload := 0
+	for pe := range s.Mem {
+		m := &s.Mem[pe]
+		if m.Size != h.MemLen {
+			return nil, fmt.Errorf("ckpt: encode: pe%d image of %d bytes, mem_len %d", pe, m.Size, h.MemLen)
 		}
-		crc.Write(m)
+		h.Pages[pe] = append([]int{}, m.Pages...) // [] rather than null for an empty PE
+		crc.Write(m.Data)
+		payload += len(m.Data)
 	}
 	h.PayloadCRC = crc.Sum32()
 	hdr, err := json.Marshal(h)
 	if err != nil {
 		return nil, fmt.Errorf("ckpt: encode header: %w", err)
 	}
-	buf := make([]byte, 0, len(hdr)+pes*int(h.MemLen)+24)
+	buf := make([]byte, 0, len(hdr)+payload+24)
 	buf = fmt.Appendf(buf, "%s%d %08x ", magic, Version, crc32.ChecksumIEEE(hdr))
 	buf = append(buf, hdr...)
 	buf = append(buf, '\n')
 	for _, m := range s.Mem {
-		buf = append(buf, m...)
+		buf = append(buf, m.Data...)
 	}
 	return buf, nil
 }
@@ -165,8 +179,9 @@ func parseHeader(data []byte) (header, int, error) {
 	if h.MemLen < 0 || h.MemLen > maxMemLen {
 		return h, 0, fmt.Errorf("ckpt: header: mem_len %d out of range [0,%d]", h.MemLen, maxMemLen)
 	}
-	if len(h.Heap) != h.PEs || len(h.Regs) != h.PEs {
-		return h, 0, fmt.Errorf("ckpt: header: %d PEs but %d heap/%d regs entries", h.PEs, len(h.Heap), len(h.Regs))
+	if len(h.Heap) != h.PEs || len(h.Regs) != h.PEs || len(h.Pages) != h.PEs {
+		return h, 0, fmt.Errorf("ckpt: header: %d PEs but %d heap/%d regs/%d page-table entries",
+			h.PEs, len(h.Heap), len(h.Regs), len(h.Pages))
 	}
 	if h.Epoch < 0 {
 		return h, 0, fmt.Errorf("ckpt: header: negative epoch %d", h.Epoch)
@@ -174,28 +189,35 @@ func parseHeader(data []byte) (header, int, error) {
 	return h, nl + 1, nil
 }
 
-// Decode parses a whole checkpoint file: header, size, and payload CRC
-// all validated. Mem entries are views into data.
+// Decode parses a whole checkpoint file: header, page tables, size,
+// and payload CRC all validated. Image data are views into data.
 func Decode(data []byte) (*Snapshot, error) {
 	h, off, err := parseHeader(data)
 	if err != nil {
 		return nil, err
 	}
-	need := int64(h.PEs) * h.MemLen
-	if got := int64(len(data) - off); got != need {
-		return nil, fmt.Errorf("ckpt: payload: %d bytes, header promises %d (torn or padded file)", got, need)
+	need := 0
+	for _, pages := range h.Pages {
+		need += len(pages) * mem.PageSize
+	}
+	if got := len(data) - off; got != need {
+		return nil, fmt.Errorf("ckpt: payload: %d bytes, page tables promise %d (torn or padded file)", got, need)
 	}
 	if got := crc32.ChecksumIEEE(data[off:]); got != h.PayloadCRC {
 		return nil, fmt.Errorf("ckpt: payload: checksum mismatch (header says %08x, payload is %08x)", h.PayloadCRC, got)
 	}
 	s := &Snapshot{JobID: h.JobID, MachineSnapshot: splitc.MachineSnapshot{
 		Epoch: h.Epoch, Cycles: h.Cycles, Heap: h.Heap,
-		Mem:  make([][]byte, h.PEs),
+		Mem:  make([]mem.Image, h.PEs),
 		Regs: make([]shell.RegSnapshot, h.PEs),
 	}}
-	for pe := range s.Mem {
-		lo := off + pe*int(h.MemLen)
-		s.Mem[pe] = data[lo : lo+int(h.MemLen)]
+	for pe, pages := range h.Pages {
+		end := off + len(pages)*mem.PageSize
+		s.Mem[pe] = mem.Image{Size: h.MemLen, Pages: pages, Data: data[off:end:end]}
+		if err := s.Mem[pe].Validate(); err != nil {
+			return nil, fmt.Errorf("ckpt: page table: pe%d: %w", pe, err)
+		}
+		off = end
 		r := h.Regs[pe]
 		s.Regs[pe] = shell.RegSnapshot{FI: [2]uint64{r[0], r[1]}, Swap: r[2]}
 	}

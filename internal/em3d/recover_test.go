@@ -2,10 +2,12 @@ package em3d
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/fault"
 	"repro/internal/machine"
+	"repro/internal/mem"
 	"repro/internal/shell"
 	"repro/internal/sim"
 	"repro/internal/splitc"
@@ -154,11 +156,11 @@ func TestRollbackDrainsFetchHintsBeforeDiscard(t *testing.T) {
 // only valid for the duration of the Sink call).
 func copySnap(ms *splitc.MachineSnapshot) *splitc.MachineSnapshot {
 	cp := *ms
-	cp.Mem = make([][]byte, len(ms.Mem))
+	cp.Mem = make([]mem.Image, len(ms.Mem))
 	cp.Regs = append([]shell.RegSnapshot(nil), ms.Regs...)
 	cp.Heap = append([]int64(nil), ms.Heap...)
-	for pe := range ms.Mem {
-		cp.Mem[pe] = append([]byte(nil), ms.Mem[pe]...)
+	for pe, img := range ms.Mem {
+		cp.Mem[pe] = mem.Image{Size: img.Size, Pages: slices.Clone(img.Pages), Data: slices.Clone(img.Data)}
 	}
 	return &cp
 }
@@ -272,12 +274,17 @@ func TestResumeFromRejectsWrongShape(t *testing.T) {
 	if err != nil || cp == nil {
 		t.Fatalf("no checkpoint captured (err %v)", err)
 	}
-	// Truncated images do not fit the DRAM; epoch -1 names the pre-run
-	// image, which is not a resume point.
-	short, neg := copySnap(cp), copySnap(cp)
-	for pe := range short.Mem {
-		short.Mem[pe] = short.Mem[pe][:len(short.Mem[pe])/2]
+	// Images must be valid page sets of the node's DRAM size; epoch -1
+	// names the pre-run image, which is not a resume point.
+	if len(cp.Mem[0].Pages) < 2 {
+		t.Fatalf("pe0's checkpoint holds %d pages; the cases below need 2", len(cp.Mem[0].Pages))
 	}
+	bad := func(edit func(img *mem.Image)) *splitc.MachineSnapshot {
+		c := copySnap(cp)
+		edit(&c.Mem[0])
+		return c
+	}
+	neg := copySnap(cp)
 	neg.Epoch = -1
 	for _, tc := range []struct {
 		what string
@@ -285,7 +292,17 @@ func TestResumeFromRejectsWrongShape(t *testing.T) {
 		snap *splitc.MachineSnapshot
 	}{
 		{"a 4-PE snapshot on an 8-PE machine", NewMachine(8), cp},
-		{"truncated DRAM images", NewMachine(4), short},
+		{"page data shorter than the page table", NewMachine(4), bad(func(img *mem.Image) {
+			img.Data = img.Data[:len(img.Data)-mem.PageSize/2]
+		})},
+		{"pages out of order", NewMachine(4), bad(func(img *mem.Image) {
+			img.Pages[0], img.Pages[1] = img.Pages[1], img.Pages[0]
+		})},
+		{"a repeated page", NewMachine(4), bad(func(img *mem.Image) { img.Pages[1] = img.Pages[0] })},
+		{"a page past the end of DRAM", NewMachine(4), bad(func(img *mem.Image) {
+			img.Pages[len(img.Pages)-1] = int(img.Size / mem.PageSize)
+		})},
+		{"an image of a larger DRAM", NewMachine(4), bad(func(img *mem.Image) { img.Size *= 2 })},
 		{"epoch -1", NewMachine(4), neg},
 	} {
 		if tc.snap.Fits(tc.m) == nil {

@@ -1,7 +1,9 @@
 package mem
 
 import (
+	"bytes"
 	"errors"
+	"slices"
 	"testing"
 )
 
@@ -197,15 +199,23 @@ func TestRawHostReadOfPoisonIsSilent(t *testing.T) {
 func TestRestoreAndZeroClearFaults(t *testing.T) {
 	d := testDRAM()
 	d.SetECC(true)
-	img := d.Snapshot(nil)
+	d.Write64(64, 5)
+	var img, again Image
+	d.Snapshot(&img)
 	d.Write64(0, 99)
+	d.Write64(2*PageSize, 7)
 	d.InjectFlip(0, 1|1<<60)
-	d.Restore(img)
+	d.Restore(&img)
 	if d.LatentWords() != 0 {
 		t.Error("Restore left latent faults")
 	}
 	if v, _, poisoned := d.Read64Checked(0); poisoned || v != 0 {
 		t.Errorf("restored word = %#x poisoned=%v", v, poisoned)
+	}
+	d.Snapshot(&again)
+	if !slices.Equal(again.Pages, img.Pages) || !bytes.Equal(again.Data, img.Data) {
+		t.Errorf("snapshot -> restore -> snapshot: pages %v then %v, bytes equal %v",
+			img.Pages, again.Pages, bytes.Equal(again.Data, img.Data))
 	}
 	d.InjectFlip(8, 1|1<<59)
 	d.Zero()

@@ -14,8 +14,9 @@
 // the paper's correctness hazards (stale reads past the write buffer,
 // incoherent cached remote data) and not just its timing curves. The
 // bytes live in 4 KiB pages allocated on first write; a page never
-// written reads as zero, so a machine costs host memory only for what
-// its programs touch. Timing never looks at the data.
+// written reads as zero, so a machine costs host memory, and a snapshot
+// of it costs copying, only for what its programs touch. Timing never
+// looks at the data.
 package mem
 
 import (
@@ -99,20 +100,21 @@ func WorkstationConfig(size int64) Config {
 	}
 }
 
-// pageSize is the granularity of the host-side store: the unit a first
-// write allocates. It has nothing to do with the DRAM rows of Config.
+// PageSize is the granularity of the host-side store: the unit a first
+// write allocates and an Image carries. It has nothing to do with the
+// DRAM rows of Config.
 const (
 	pageShift = 12
-	pageSize  = 1 << pageShift
-	pageMask  = pageSize - 1
+	PageSize  = 1 << pageShift
+	pageMask  = PageSize - 1
 )
 
-type page [pageSize]byte
+type page [PageSize]byte
 
 // DRAM is a banked page-mode memory holding real data.
 type DRAM struct {
 	cfg   Config
-	pages []*page // one slot per pageSize bytes; nil reads as zero
+	pages []*page // one slot per PageSize bytes; nil reads as zero
 	banks []bank
 
 	// SECDED state (ecc.go): the fault table maps word-aligned offsets
@@ -148,43 +150,72 @@ func New(cfg Config) *DRAM {
 	return d
 }
 
-// Snapshot copies the full memory image into buf (allocating when buf is
-// too small) and returns it — the checkpoint primitive for rollback
-// recovery. Pages never written come out as zeros, whatever buf held
-// before. Only data is captured; bank timing state is transient and
-// reconverges within one access.
-func (d *DRAM) Snapshot(buf []byte) []byte {
-	if int64(len(buf)) < d.cfg.Size {
-		buf = make([]byte, d.cfg.Size)
-	}
-	buf = buf[:d.cfg.Size]
-	for i, pg := range d.pages {
-		addr := int64(i) * pageSize
-		dst := buf[addr:min(addr+pageSize, d.cfg.Size)]
-		if pg == nil {
-			clear(dst)
-		} else {
-			copy(dst, pg[:])
-		}
-	}
-	return buf
+// Image is a DRAM's data as the set of pages present in it: Pages
+// lists their numbers in ascending order and Data holds their bytes
+// back to back, PageSize per page. A page it does not list reads as
+// zero. Size is the byte size of the DRAM the image belongs to.
+type Image struct {
+	Size  int64
+	Pages []int
+	Data  []byte
 }
 
-// Restore overwrites memory with a Snapshot image; a page that is all
-// zero in the image goes back to unallocated. Every latent fault is
-// overwritten with it — the property that lets a rollback clear poison
-// the same way it clears any other corruption.
-func (d *DRAM) Restore(img []byte) {
-	if int64(len(img)) != d.cfg.Size {
-		panic(fmt.Sprintf("mem: Restore image %d bytes, memory %d", len(img), d.cfg.Size))
+// Validate reports why img is not an image of a Size-byte DRAM, or nil:
+// its data must hold exactly one page per listed page number, and the
+// numbers must ascend without repeats and stay inside the memory.
+func (img *Image) Validate() error {
+	if want := len(img.Pages) * PageSize; len(img.Data) != want {
+		return fmt.Errorf("mem: image lists %d pages but holds %d bytes, want %d", len(img.Pages), len(img.Data), want)
 	}
+	limit := (img.Size + pageMask) >> pageShift
+	prev := -1
+	for _, pg := range img.Pages {
+		switch {
+		case pg < 0 || int64(pg) >= limit:
+			return fmt.Errorf("mem: image page %d outside a %d-byte memory", pg, img.Size)
+		case pg == prev:
+			return fmt.Errorf("mem: image repeats page %d", pg)
+		case pg < prev:
+			return fmt.Errorf("mem: image page %d out of order after page %d", pg, prev)
+		}
+		prev = pg
+	}
+	return nil
+}
+
+// Snapshot copies the pages present in memory into img, reusing its
+// buffers — the checkpoint primitive for rollback recovery. Only data
+// is captured; bank timing state is transient and reconverges within
+// one access.
+func (d *DRAM) Snapshot(img *Image) {
+	img.Size = d.cfg.Size
+	img.Pages, img.Data = img.Pages[:0], img.Data[:0]
+	for i, pg := range d.pages {
+		if pg != nil {
+			img.Pages = append(img.Pages, i)
+			img.Data = append(img.Data, pg[:]...)
+		}
+	}
+}
+
+// Restore makes memory hold exactly img: its pages are copied in and
+// every page it does not list goes back to unallocated. Every latent
+// fault is overwritten with it — the property that lets a rollback
+// clear poison the same way it clears any other corruption.
+func (d *DRAM) Restore(img *Image) {
+	if img.Size != d.cfg.Size {
+		panic(fmt.Sprintf("mem: Restore image of a %d-byte memory into %d bytes", img.Size, d.cfg.Size))
+	}
+	if err := img.Validate(); err != nil {
+		panic(err)
+	}
+	next := 0
 	for i := range d.pages {
-		addr := int64(i) * pageSize
-		src := img[addr:min(addr+pageSize, d.cfg.Size)]
-		if allZero(src) {
-			d.pages[i] = nil
+		if next < len(img.Pages) && img.Pages[next] == i {
+			copy(d.pageAt(int64(i) * PageSize)[:], img.Data[next*PageSize:])
+			next++
 		} else {
-			copy(d.pageAt(addr)[:], src)
+			d.pages[i] = nil
 		}
 	}
 	d.clearAllFaults()
@@ -195,20 +226,6 @@ func (d *DRAM) Restore(img []byte) {
 func (d *DRAM) Zero() {
 	clear(d.pages)
 	d.clearAllFaults()
-}
-
-func allZero(b []byte) bool {
-	for ; len(b) >= 8; b = b[8:] {
-		if binary.LittleEndian.Uint64(b) != 0 {
-			return false
-		}
-	}
-	for _, c := range b {
-		if c != 0 {
-			return false
-		}
-	}
-	return true
 }
 
 // Config returns the configuration the DRAM was built with.
@@ -355,7 +372,7 @@ func (d *DRAM) copyOut(addr int64, p []byte) {
 		if pg := d.pages[addr>>pageShift]; pg != nil {
 			n = copy(p, pg[off:])
 		} else {
-			n = min(len(p), int(pageSize-off))
+			n = min(len(p), int(PageSize-off))
 			clear(p[:n])
 		}
 		p = p[n:]
@@ -376,7 +393,7 @@ func (d *DRAM) copyIn(addr int64, p []byte) {
 // page takes the direct path; one straddling two pages (an unaligned
 // address) goes through a byte copy.
 func (d *DRAM) load64(addr int64) uint64 {
-	if off := addr & pageMask; off <= pageSize-8 {
+	if off := addr & pageMask; off <= PageSize-8 {
 		if pg := d.pages[addr>>pageShift]; pg != nil {
 			return binary.LittleEndian.Uint64(pg[off:])
 		}
@@ -388,7 +405,7 @@ func (d *DRAM) load64(addr int64) uint64 {
 }
 
 func (d *DRAM) store64(addr int64, v uint64) {
-	if off := addr & pageMask; off <= pageSize-8 {
+	if off := addr & pageMask; off <= PageSize-8 {
 		binary.LittleEndian.PutUint64(d.pageAt(addr)[off:], v)
 		return
 	}

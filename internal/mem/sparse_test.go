@@ -3,6 +3,7 @@ package mem
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"math/bits"
 	"math/rand"
 	"slices"
@@ -103,13 +104,57 @@ func presentPages(d *DRAM) (n int) {
 	return n
 }
 
+// expand renders an image as the flat bytes of its memory.
+func expand(img *Image) []byte {
+	b := make([]byte, img.Size)
+	for k, pg := range img.Pages {
+		copy(b[int64(pg)*PageSize:], img.Data[k*PageSize:(k+1)*PageSize])
+	}
+	return b
+}
+
+// checkImage fails unless img is a valid image of d: its memory's
+// bytes are want and it lists exactly the pages d holds.
+func checkImage(t *testing.T, d *DRAM, img *Image, want []byte, what string) {
+	t.Helper()
+	if err := img.Validate(); err != nil || img.Size != d.Size() {
+		t.Fatalf("%s: image of %d bytes invalid for a %d-byte memory: %v", what, img.Size, d.Size(), err)
+	}
+	if !bytes.Equal(expand(img), want) {
+		t.Fatalf("%s: image bytes differ from the model", what)
+	}
+	var present []int
+	for i, pg := range d.pages {
+		if pg != nil {
+			present = append(present, i)
+		}
+	}
+	if !slices.Equal(img.Pages, present) {
+		t.Fatalf("%s: image lists pages %v, memory holds %v", what, img.Pages, present)
+	}
+}
+
+// checkRoundTrip restores img into d, which must then hold exactly its
+// pages and bytes, and snapshots d again: the second image must equal
+// the first.
+func checkRoundTrip(t *testing.T, d *DRAM, img *Image, what string) {
+	t.Helper()
+	d.Restore(img)
+	var again Image
+	d.Snapshot(&again)
+	checkImage(t, d, &again, expand(img), what)
+	if !slices.Equal(again.Pages, img.Pages) || !bytes.Equal(again.Data, img.Data) {
+		t.Fatalf("%s: snapshot -> restore -> snapshot changed the image", what)
+	}
+}
+
 // TestSparseMatchesDense drives a sparse DRAM, the same DRAM with every
 // page allocated, and the byte model through one seeded random sequence
 // of reads, writes, flips, ECC reads, scrubs, snapshots, restores and
 // zeroings, many of them straddling a page boundary. After every
 // operation the returned values, the memory image and the integrity
-// counters must agree, and a read must leave the sparse page set as it
-// found it.
+// counters must agree, a snapshot must list exactly the pages present,
+// and a read must leave the sparse page set as it found it.
 func TestSparseMatchesDense(t *testing.T) {
 	const size = 64 << 10 // 16 pages
 	seeds := int64(4)
@@ -122,7 +167,7 @@ func TestSparseMatchesDense(t *testing.T) {
 		full := New(T3DNodeConfig(size))
 		populate(full)
 		m := &byteModel{data: make([]byte, size), masks: map[int64]uint64{}}
-		img := make([]byte, size)
+		var img Image
 
 		// addr picks n bytes' start: anywhere, word-aligned, within n
 		// bytes of a page boundary so a good share straddle one, or
@@ -136,7 +181,7 @@ func TestSparseMatchesDense(t *testing.T) {
 			case k == 1:
 				a = r.Int63n(size) &^ (n - 1)
 			case k == 2 || len(flipped) == 0:
-				a = r.Int63n(size/pageSize)*pageSize - n + r.Int63n(2*n)
+				a = r.Int63n(size/PageSize)*PageSize - n + r.Int63n(2*n)
 			default:
 				a = flipped[r.Intn(len(flipped))] + r.Int63n(8) - r.Int63n(n)
 			}
@@ -250,7 +295,7 @@ func TestSparseMatchesDense(t *testing.T) {
 				}
 			case 11:
 				kind = "ScrubRange"
-				n := 1 + r.Int63n(3*pageSize)
+				n := 1 + r.Int63n(3*PageSize)
 				a := addr(n)
 				got, ctl := sparse.ScrubRange(a, n), full.ScrubRange(a, n)
 				want, _ := m.repair(within(a, n))
@@ -264,32 +309,30 @@ func TestSparseMatchesDense(t *testing.T) {
 				full.SetECC(m.ecc)
 			case 13:
 				kind = "Snapshot+Restore"
-				// Snapshot into a dirty buffer: pages never written must
-				// come out as zeros, not as the buffer's old bytes.
-				r.Read(img)
-				if got := sparse.Snapshot(img); !bytes.Equal(got, m.data) {
-					t.Fatalf("seed %d op %d: Snapshot differs from the model", seed, op)
-				}
-				// Restore an image whose pages are zero, random, or the
+				// Snapshot into an image still holding an older snapshot:
+				// it must come out listing the present pages only.
+				sparse.Snapshot(&img)
+				checkImage(t, sparse, &img, m.data, fmt.Sprintf("seed %d op %d: Snapshot", seed, op))
+				// Restore an image whose pages are missing, random, or the
 				// current contents.
-				for pg := int64(0); pg < size; pg += pageSize {
+				next := Image{Size: size}
+				for pg := 0; pg < size/PageSize; pg++ {
+					cur := m.data[pg*PageSize : (pg+1)*PageSize]
 					switch r.Intn(3) {
 					case 0:
-						clear(img[pg : pg+pageSize])
+						continue
 					case 1:
-						r.Read(img[pg : pg+pageSize])
+						next.Data = append(next.Data, randBytes(PageSize)...)
+					default:
+						next.Data = append(next.Data, cur...)
 					}
+					next.Pages = append(next.Pages, pg)
 				}
-				sparse.Restore(img)
-				full.Restore(img)
+				checkRoundTrip(t, sparse, &next, fmt.Sprintf("seed %d op %d: sparse Restore", seed, op))
+				full.Restore(&next)
 				populate(full)
-				copy(m.data, img)
+				copy(m.data, expand(&next))
 				clear(m.masks)
-				for i, pg := range sparse.pages {
-					if zero := allZero(img[i*pageSize : (i+1)*pageSize]); (pg == nil) != zero {
-						t.Fatalf("seed %d op %d: after Restore page %d present=%v, image page zero=%v", seed, op, i, pg != nil, zero)
-					}
-				}
 				read = false
 			default:
 				kind = "Zero"
@@ -306,12 +349,10 @@ func TestSparseMatchesDense(t *testing.T) {
 			if read && presentPages(sparse) != before {
 				t.Fatalf("seed %d op %d: %s changed the present pages %d -> %d", seed, op, kind, before, presentPages(sparse))
 			}
-			if got := sparse.Snapshot(img); !bytes.Equal(got, m.data) {
-				t.Fatalf("seed %d op %d: after %s the sparse image differs from the model", seed, op, kind)
-			}
-			if got := full.Snapshot(img); !bytes.Equal(got, m.data) {
-				t.Fatalf("seed %d op %d: after %s the dense image differs from the model", seed, op, kind)
-			}
+			sparse.Snapshot(&img)
+			checkImage(t, sparse, &img, m.data, fmt.Sprintf("seed %d op %d: after %s, sparse", seed, op, kind))
+			full.Snapshot(&img)
+			checkImage(t, full, &img, m.data, fmt.Sprintf("seed %d op %d: after %s, dense", seed, op, kind))
 			if s, f := sparse.Integrity(), full.Integrity(); s != f {
 				t.Fatalf("seed %d op %d: after %s Integrity %+v, dense %+v", seed, op, kind, s, f)
 			}
@@ -327,9 +368,9 @@ func TestSparseMatchesDense(t *testing.T) {
 // to end: missing pages read as zero without allocating one.
 func TestReadUnwrittenDoesNotAllocate(t *testing.T) {
 	d := New(T3DNodeConfig(16 << 20))
-	buf := make([]byte, pageSize)
+	buf := make([]byte, PageSize)
 	allocs := testing.AllocsPerRun(2, func() {
-		for a := int64(0); a < d.Size(); a += pageSize {
+		for a := int64(0); a < d.Size(); a += PageSize {
 			d.Read(a, buf)
 		}
 	})
@@ -339,7 +380,30 @@ func TestReadUnwrittenDoesNotAllocate(t *testing.T) {
 	if n := presentPages(d); n != 0 {
 		t.Errorf("%d pages present after reads only", n)
 	}
-	if !allZero(buf) {
+	if slices.ContainsFunc(buf, func(b byte) bool { return b != 0 }) {
 		t.Error("unwritten memory read back nonzero")
+	}
+}
+
+// TestSnapshotIntoReusedImageDoesNotAllocate snapshots a 16 MB DRAM
+// with a few pages written into an image that is reused, and restores
+// it: a checkpoint copies the written pages and nothing else.
+func TestSnapshotIntoReusedImageDoesNotAllocate(t *testing.T) {
+	d := New(T3DNodeConfig(16 << 20))
+	written := []int{0, 1, 7, 512, 4095}
+	for _, pg := range written {
+		d.Write64(int64(pg)*PageSize+8, uint64(pg)+1)
+	}
+	var img Image
+	d.Snapshot(&img)
+	allocs := testing.AllocsPerRun(10, func() {
+		d.Snapshot(&img)
+		d.Restore(&img)
+	})
+	if allocs != 0 {
+		t.Errorf("snapshot and restore through a reused image: %v allocations per run, want 0", allocs)
+	}
+	if !slices.Equal(img.Pages, written) || len(img.Data) != len(written)*PageSize {
+		t.Errorf("image lists pages %v in %d bytes, want %v in %d", img.Pages, len(img.Data), written, len(written)*PageSize)
 	}
 }

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"strings"
@@ -8,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/ckpt"
+	"repro/internal/mem"
 	"repro/internal/shell"
 	"repro/internal/splitc"
 )
@@ -264,7 +266,7 @@ func TestBindFailureUnpublishesCheckpoint(t *testing.T) {
 	sink(&splitc.MachineSnapshot{
 		Epoch:  1,
 		Cycles: 100,
-		Mem:    [][]byte{make([]byte, 64)},
+		Mem:    []mem.Image{{Size: 64 << 10}},
 		Regs:   []shell.RegSnapshot{{}},
 		Heap:   []int64{0},
 	})
@@ -277,6 +279,54 @@ func TestBindFailureUnpublishesCheckpoint(t *testing.T) {
 	}
 	if files := ckptFiles(t, ckdir); len(files) != 0 {
 		t.Fatalf("unbound checkpoint stranded on disk: %v", files)
+	}
+}
+
+// TestCheckpointFilesCarryOnlyWrittenPages runs the default served em3d
+// job (8 PEs of 2 MB each) with a checkpoint at every epoch barrier and
+// reads back every file it published: each carries only the pages the
+// job wrote — at most 64 pages of 4 KiB beside its header, where dense
+// images of the same machine would be 16 MiB.
+func TestCheckpointFilesCarryOnlyWrittenPages(t *testing.T) {
+	const maxPages = 64
+	root := t.TempDir()
+	j, _, err := OpenJournal(filepath.Join(root, "j.journal"))
+	if err != nil {
+		t.Fatalf("OpenJournal: %v", err)
+	}
+	defer j.Close()
+	ckdir := filepath.Join(root, "ck")
+	if err := ckpt.MkdirAll(ckdir); err != nil {
+		t.Fatalf("MkdirAll: %v", err)
+	}
+	store := ckpt.NewStore(nil, ckdir, 64, t.Logf)
+	spec := JobSpec{CheckpointCycles: MinCheckpointCycles}.Normalize()
+	c := &ckptRun{store: store, journal: j, id: "j00000077", tenant: DefaultTenant,
+		interval: spec.CheckpointCycles, logf: t.Logf}
+	if _, err := runSpec(spec, 0, nil, nil, c); err != nil {
+		t.Fatalf("runSpec: %v", err)
+	}
+	names := store.List(c.id)
+	if len(names) == 0 {
+		t.Fatal("the checkpointed job published no checkpoint")
+	}
+	for _, name := range names {
+		data, err := os.ReadFile(filepath.Join(ckdir, name))
+		if err != nil {
+			t.Fatalf("ReadFile: %v", err)
+		}
+		hdr := bytes.IndexByte(data, '\n') + 1
+		if payload := len(data) - hdr; payload > maxPages*mem.PageSize {
+			t.Errorf("%s: %d bytes of pages beside a %d-byte header, want at most %d pages (%d bytes)",
+				name, payload, hdr, maxPages, maxPages*mem.PageSize)
+		}
+		snap, err := ckpt.Decode(data)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if len(snap.Mem) != spec.PEs || snap.Mem[0].Size != spec.MemBytes {
+			t.Fatalf("%s: %d images of %d bytes, want %d of %d", name, len(snap.Mem), snap.Mem[0].Size, spec.PEs, spec.MemBytes)
+		}
 	}
 }
 

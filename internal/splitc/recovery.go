@@ -3,6 +3,7 @@ package splitc
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/machine"
 	"repro/internal/mem"
@@ -21,8 +22,9 @@ import (
 // PE quiesces — outstanding gets drained, remote writes acknowledged and
 // (in reliable mode) verified, BLT transfers finished — then crosses the
 // hardware barrier, and the last arriver snapshots the whole machine:
-// every node's DRAM image, the shell's architected registers, and each
-// PE's runtime heap cursor. Only the latest checkpoint is kept.
+// every node's DRAM pages, the shell's architected registers, and each
+// PE's runtime heap cursor. Only the latest checkpoint is kept, in
+// buffers each checkpoint reuses, so it costs what the program wrote.
 //
 // A node hard-fault is fail-stop-and-reboot: the CPU's volatile memory is
 // zeroed (the crash model) and every program proc is interrupted. Procs
@@ -49,21 +51,22 @@ const pollGap sim.Time = 200
 // MachineSnapshot is one committed checkpoint: everything a fresh
 // runtime needs to resume the program at Epoch without replaying
 // earlier epochs. Because the recovery contract keeps all cross-epoch
-// state in simulated memory, DRAM, shell registers and heap cursors
-// are the whole of it. The same value serves as the coordinator's
-// rollback target, the Sink's argument, the Resume input, and (via
-// package ckpt) the on-disk checkpoint.
+// state in simulated memory, DRAM pages, shell registers and heap
+// cursors are the whole of it. The same value serves as the
+// coordinator's rollback target, the Sink's argument, the Resume input,
+// and (via package ckpt) the on-disk checkpoint.
 type MachineSnapshot struct {
-	Epoch  int      // the epoch a resume of this snapshot starts at; -1 is the pre-run image
-	Cycles sim.Time // cumulative simulated cycles the image accounts for
-	Mem    [][]byte // per-PE DRAM images
+	Epoch  int         // the epoch a resume of this snapshot starts at; -1 is the pre-run image
+	Cycles sim.Time    // cumulative simulated cycles the image accounts for
+	Mem    []mem.Image // per-PE DRAM pages present
 	Regs   []shell.RegSnapshot
 	Heap   []int64 // per-PE runtime heap cursor
 }
 
 // Fits reports why the snapshot cannot resume a run on m, or nil if it
 // can: one DRAM image, register set and heap cursor per node, each image
-// the size of that node's DRAM, and a non-negative epoch.
+// a valid one (mem.Image.Validate) of that node's DRAM size, and a
+// non-negative epoch.
 func (s *MachineSnapshot) Fits(m *machine.T3D) error {
 	n := len(m.Nodes)
 	if len(s.Mem) != n || len(s.Regs) != n || len(s.Heap) != n {
@@ -74,9 +77,13 @@ func (s *MachineSnapshot) Fits(m *machine.T3D) error {
 		return fmt.Errorf("recovery: snapshot epoch %d is negative", s.Epoch)
 	}
 	for pe, node := range m.Nodes {
-		if int64(len(s.Mem[pe])) != node.DRAM.Size() {
-			return fmt.Errorf("recovery: snapshot image for pe%d is %d bytes, DRAM is %d",
-				pe, len(s.Mem[pe]), node.DRAM.Size())
+		img := &s.Mem[pe]
+		if img.Size != node.DRAM.Size() {
+			return fmt.Errorf("recovery: snapshot image for pe%d is of %d bytes, DRAM is %d",
+				pe, img.Size, node.DRAM.Size())
+		}
+		if err := img.Validate(); err != nil {
+			return fmt.Errorf("recovery: snapshot image for pe%d: %w", pe, err)
 		}
 	}
 	return nil
@@ -179,7 +186,7 @@ func NewRecovery(rt *Runtime, cfg RecoveryConfig) *Recovery {
 		ctxs: make([]*Ctx, n),
 		ckpt: MachineSnapshot{
 			Epoch: -1,
-			Mem:   make([][]byte, n),
+			Mem:   make([]mem.Image, n),
 			Regs:  make([]shell.RegSnapshot, n),
 			Heap:  make([]int64, n),
 		},
@@ -239,8 +246,8 @@ func (r *Recovery) Run(setup SetupFunc) (sim.Time, RecoveryStats, error) {
 			return 0, r.Stats, err
 		}
 		r.ckpt.Epoch, r.ckpt.Cycles = resume.Epoch, resume.Cycles
-		for pe := range r.ckpt.Mem {
-			r.ckpt.Mem[pe] = append([]byte(nil), resume.Mem[pe]...)
+		for pe, img := range resume.Mem {
+			r.ckpt.Mem[pe] = mem.Image{Size: img.Size, Pages: slices.Clone(img.Pages), Data: slices.Clone(img.Data)}
 		}
 		copy(r.ckpt.Regs, resume.Regs)
 		copy(r.ckpt.Heap, resume.Heap)
@@ -427,7 +434,7 @@ func (r *Recovery) takeCheckpoint(c *Ctx, nextEpoch int) {
 // start (the pre-run image) there are no cursors to record.
 func (r *Recovery) snapshotMachine(epoch int) {
 	for pe, n := range r.rt.M.Nodes {
-		r.ckpt.Mem[pe] = n.DRAM.Snapshot(r.ckpt.Mem[pe])
+		n.DRAM.Snapshot(&r.ckpt.Mem[pe])
 		r.ckpt.Regs[pe] = n.Shell.SnapshotRegs()
 		if c := r.ctxs[pe]; c != nil {
 			r.ckpt.Heap[pe] = c.heapNext
@@ -438,14 +445,14 @@ func (r *Recovery) snapshotMachine(epoch int) {
 	r.Stats.Checkpoints++
 }
 
-// restoreMachine reinstates the checkpoint's DRAM images and shell
+// restoreMachine reinstates the checkpoint's DRAM pages and shell
 // registers on every node. The restore rewrites DRAM beneath the
 // (write-through) cache, so every resident line is potentially stale:
 // invalidate wholesale — the replayed epoch re-warms, which is part of
 // the rollback cost.
 func (r *Recovery) restoreMachine() {
 	for pe, n := range r.rt.M.Nodes {
-		n.DRAM.Restore(r.ckpt.Mem[pe])
+		n.DRAM.Restore(&r.ckpt.Mem[pe])
 		n.L1.InvalidateAll()
 		n.Shell.RestoreRegs(r.ckpt.Regs[pe])
 	}

@@ -61,8 +61,11 @@ go build -o "$TMP/em3d" ./cmd/em3d
 
 # The workload: long enough to survive a first checkpoint plus a kill,
 # with a cadence at the floor so a checkpoint lands at nearly every
-# epoch barrier.
-PES=4 NODES=120 DEGREE=8 ITERS=6 SEED=11
+# epoch barrier. It is sized by simulated work, not by what a checkpoint
+# costs: 64 epochs of 1200 nodes per PE run for seconds (2.4 s in batch
+# on a 2-vCPU host), while the first checkpoint lands after setup, so
+# the 0.1 s poll below sees it long before the job could finish.
+PES=4 NODES=1200 DEGREE=8 ITERS=64 SEED=11
 JOB_JSON=$(printf '{"app":"em3d","pes":%d,"nodes_per_pe":%d,"degree":%d,"iters":%d,"seed":%d,"checkpoint_cycles":4096}' \
   "$PES" "$NODES" "$DEGREE" "$ITERS" "$SEED")
 
