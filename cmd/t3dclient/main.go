@@ -3,7 +3,8 @@
 // well-behaved client the service's admission control and degraded
 // mode assume: 429 sheds and 503 brownouts are retried with
 // deterministic jittered exponential backoff that honors Retry-After,
-// and a dropped watch stream reconnects instead of giving up.
+// a dropped watch stream reconnects instead of giving up, and a job the
+// server no longer holds (404 mid-watch) is submitted once more.
 //
 // Usage:
 //

@@ -219,7 +219,8 @@ func (c *Client) Status(id string) (JobStatus, error) {
 
 // Watch follows the job's NDJSON progress stream until it is terminal,
 // reconnecting (with backoff) when the stream drops mid-run. Every
-// decoded snapshot goes to OnProgress.
+// decoded snapshot goes to OnProgress. An ID the server does not hold
+// fails at once with ErrUnknownJob.
 func (c *Client) Watch(id string) (JobStatus, error) {
 	c.init()
 	var last error
@@ -262,6 +263,9 @@ func (c *Client) watchOnce(id string) (st JobStatus, progressed bool, err error)
 		if transientStatus(resp.StatusCode) {
 			return JobStatus{}, false, aerr
 		}
+		if resp.StatusCode == http.StatusNotFound {
+			aerr = fmt.Errorf("%w: %q", ErrUnknownJob, id)
+		}
 		return JobStatus{}, false, &permanentError{err: aerr}
 	}
 	sc := bufio.NewScanner(resp.Body)
@@ -292,22 +296,40 @@ func (c *Client) watchOnce(id string) (st JobStatus, progressed bool, err error)
 // job to completion. expectDigest, when non-empty, is verified against
 // the final result; a mismatch is ErrDigestMismatch — the bit-identity
 // contract, enforced from the outside.
+//
+// A 404 mid-watch means the job finished and left the server's job
+// table: it aged out of the window of recent terminal jobs, or finished
+// just before a restart. Its result lives on in the cache and the
+// journal, so Run submits the spec once more and returns that answer: a
+// cache hit, or a deterministic re-run to the same digest.
 func (c *Client) Run(spec JobSpec, expectDigest string) (JobStatus, error) {
-	st, err := c.Submit(spec)
-	if err != nil {
-		return st, err
+	st, err := c.follow(spec)
+	if errors.Is(err, ErrUnknownJob) {
+		c.Logf("t3dclient: %v — resubmitting", err)
+		st, err = c.follow(spec)
 	}
-	if st.Terminal() {
-		// Cache hit: done before the watch could start. The watch path
-		// reports terminal snapshots itself.
-		if c.OnProgress != nil {
-			c.OnProgress(st)
-		}
-	} else if st, err = c.Watch(st.ID); err != nil {
+	if err != nil {
 		return st, err
 	}
 	if st.State == StateDone.String() && expectDigest != "" && st.Result != nil && st.Result.Digest != expectDigest {
 		return st, fmt.Errorf("%w: got %s, want %s", ErrDigestMismatch, st.Result.Digest, expectDigest)
+	}
+	return st, nil
+}
+
+// follow submits spec and watches the job until it is terminal.
+func (c *Client) follow(spec JobSpec) (JobStatus, error) {
+	st, err := c.Submit(spec)
+	if err != nil {
+		return st, err
+	}
+	if !st.Terminal() {
+		return c.Watch(st.ID)
+	}
+	// Cache hit: done before the watch could start. The watch path
+	// reports terminal snapshots itself.
+	if c.OnProgress != nil {
+		c.OnProgress(st)
 	}
 	return st, nil
 }

@@ -4,7 +4,9 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"path"
 	"path/filepath"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -193,5 +195,117 @@ func TestClientRidesOutBrownout(t *testing.T) {
 	}
 	if atomic.LoadInt32(&refused) == 0 {
 		t.Fatal("client never saw the brownout — test proved nothing")
+	}
+}
+
+// beforeWatch is a transport that runs fn once, with the job ID, before
+// the first ?watch=1 request goes out.
+type beforeWatch struct {
+	once sync.Once
+	fn   func(id string)
+}
+
+func (b *beforeWatch) RoundTrip(r *http.Request) (*http.Response, error) {
+	if r.URL.Query().Get("watch") != "" {
+		b.once.Do(func() { b.fn(path.Base(r.URL.Path)) })
+	}
+	return http.DefaultTransport.RoundTrip(r)
+}
+
+// TestClientRunAfterWindowRollover: a job that finishes and ages out of
+// the server's window of recent terminal jobs before the client's watch
+// reaches it answers 404; Run resubmits once and gets the cached result.
+func TestClientRunAfterWindowRollover(t *testing.T) {
+	spec, filler := quickSpec(8400), quickSpec(8401)
+	want := referenceDigest(t, spec)
+	s := newTestServer(t, Config{Pool: PoolConfig{Workers: 1}})
+	defer s.Drain(10 * time.Second)
+	_, release := holdJobs(s, spec)
+	defer release()
+	warm, err := s.Submit(filler)
+	if err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	awaitJob(t, warm)
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	c, _ := newTestClient(ts.URL)
+	watched := ""
+	c.HTTP = &http.Client{Transport: &beforeWatch{fn: func(id string) {
+		watched = id
+		release()
+		j, err := s.Job(id)
+		if err != nil {
+			t.Fatalf("job %s before the watch: %v", id, err)
+		}
+		awaitJob(t, j)
+		for i := 0; i < terminalWindow; i++ {
+			if _, err := s.Submit(filler); err != nil {
+				t.Fatalf("filler hit: %v", err)
+			}
+		}
+	}}}
+	st, err := c.Run(spec, want)
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if watched == "" {
+		t.Fatal("Run never watched the job — test proved nothing")
+	}
+	if _, err := s.Job(watched); !errors.Is(err, ErrUnknownJob) {
+		t.Fatalf("job %s still in the table: %v", watched, err)
+	}
+	if st.ID == watched || st.Result == nil || !st.Result.Cached || st.Result.Digest != want {
+		t.Fatalf("Run after rollover: %+v, want a cache hit with digest %s under a new ID", st, want)
+	}
+}
+
+// TestClientRunAfterRestart: a job that finishes just before a crash
+// exists after restart only as a done record and a cache entry, so a
+// watch that reaches the restarted server gets a 404; Run resubmits
+// once and gets the result from the recovered cache.
+func TestClientRunAfterRestart(t *testing.T) {
+	spec := quickSpec(8500)
+	want := referenceDigest(t, spec)
+	journal := filepath.Join(t.TempDir(), "j.journal")
+	s1 := newTestServer(t, Config{JournalPath: journal, Pool: PoolConfig{Workers: 1}})
+	_, release := holdJobs(s1, spec)
+	defer release()
+	var front atomic.Pointer[Server]
+	front.Store(s1)
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		front.Load().Handler().ServeHTTP(w, r)
+	}))
+	defer ts.Close()
+
+	c, _ := newTestClient(ts.URL)
+	var s2 *Server
+	c.HTTP = &http.Client{Transport: &beforeWatch{fn: func(id string) {
+		release()
+		j, err := s1.Job(id)
+		if err != nil {
+			t.Fatalf("job %s before the watch: %v", id, err)
+		}
+		awaitJob(t, j) // done closes after the done record is durable
+		s1.Kill()
+		s2 = newTestServer(t, Config{JournalPath: journal, Pool: PoolConfig{Workers: 1}})
+		front.Store(s2)
+	}}}
+	st, err := c.Run(spec, want)
+	if s2 != nil {
+		defer s2.Drain(10 * time.Second)
+	}
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if s2 == nil {
+		t.Fatal("Run never watched the job — test proved nothing")
+	}
+	if z := s2.Status(); z.Recovered != 0 {
+		t.Fatalf("restart re-enqueued %d jobs, want none: the done record was durable", z.Recovered)
+	}
+	if st.Result == nil || !st.Result.Cached || st.Result.Digest != want {
+		t.Fatalf("Run after restart: %+v, want a cache hit with digest %s", st, want)
 	}
 }

@@ -117,7 +117,8 @@ func isDegraded(err error) bool { return errors.Is(err, ErrJournalDegraded) }
 var ErrDraining = errors.New("serve: draining, not accepting jobs")
 
 // ErrUnknownJob reports a status query for an ID the server has no
-// record of (never submitted here, or journal-compacted away).
+// record of: never submitted here, or a terminal job older than the
+// server's window of recent ones, or finished before a restart.
 var ErrUnknownJob = errors.New("serve: unknown job")
 
 // HostError marks a host-side failure — journal or cache I/O, never a

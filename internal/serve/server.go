@@ -89,11 +89,16 @@ type Server struct {
 	ckpts   *ckpt.Store // nil when checkpointing is disabled
 
 	mu    sync.Mutex
-	jobs  map[string]*Job // by ID, terminal jobs included
+	jobs  map[string]*Job // by ID: live jobs and the terminal jobs in recent
 	byKey map[uint64]*Job // non-terminal jobs, for in-flight dedup
 	seq   int             // next job number
 	drain bool            // readyz gate
 	stats struct{ submits, dedups, recovered int64 }
+
+	// recent is a ring of the newest terminal jobs, filled by append up
+	// to terminalWindow; once full, next is its oldest slot.
+	recent []*Job
+	next   int
 
 	// unjournaled holds done records that could not be appended while
 	// the journal was degraded; the heal callback re-appends them so a
@@ -101,6 +106,12 @@ type Server struct {
 	// re-running the jobs.
 	unjournaled []Record
 }
+
+// terminalWindow is how many terminal jobs the job table keeps, cache
+// hits included. An older ID answers ErrUnknownJob; its result lives on
+// in the cache and the journal. The table thus grows with the work in
+// flight, not with uptime.
+const terminalWindow = 1024
 
 // NewServer opens (and replays) the journal and starts the worker
 // pool. Journal recovery order: done records repopulate the cache
@@ -267,6 +278,7 @@ func (s *Server) Submit(spec JobSpec) (*Job, error) {
 		job.Result = res
 		job.state.Store(int32(StateDone))
 		close(job.done)
+		s.retireLocked(job)
 		s.mu.Unlock()
 		return job, nil
 	}
@@ -307,6 +319,19 @@ func (s *Server) newJobLocked(key uint64, tenant string, spec JobSpec) *Job {
 	s.seq++
 	s.jobs[job.ID] = job
 	return job
+}
+
+// retireLocked moves a finished job into the window of recent terminal
+// jobs, evicting the oldest from s.jobs once the window is full (s.mu
+// held).
+func (s *Server) retireLocked(j *Job) {
+	if len(s.recent) < terminalWindow {
+		s.recent = append(s.recent, j)
+		return
+	}
+	delete(s.jobs, s.recent[s.next].ID)
+	s.recent[s.next] = j
+	s.next = (s.next + 1) % terminalWindow
 }
 
 // forget unregisters a job whose submit record could not be journaled.
@@ -455,12 +480,14 @@ func (s *Server) wallLimit(j *Job) time.Duration {
 // finish releases a job's dedup slot, marks it terminal, and journals
 // the outcome. The slot goes first: from here on the job is finished
 // work, and a resubmit must find the result execute already cached,
-// not wait on this job's done-record fsync.
+// not wait on this job's done-record fsync. It joins the terminal
+// window at the same moment.
 func (s *Server) finish(j *Job, res JobResult, err error) {
 	s.mu.Lock()
 	if s.byKey[j.Key] == j {
 		delete(s.byKey, j.Key)
 	}
+	s.retireLocked(j)
 	s.mu.Unlock()
 	var rec *Record
 	if err == nil {
@@ -510,7 +537,8 @@ func (s *Server) finish(j *Job, res JobResult, err error) {
 	close(j.done)
 }
 
-// Job returns the job with the given ID.
+// Job returns the job with the given ID: a live job or one of the
+// terminalWindow newest terminal ones. Any other ID is ErrUnknownJob.
 func (s *Server) Job(id string) (*Job, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -771,6 +799,9 @@ type Statusz struct {
 	CacheEvictions int64 `json:"cache_evictions"`
 	CacheSize      int   `json:"cache_size"`
 	Draining       bool  `json:"draining"`
+	// Jobs is the size of the job table GET /jobs/{id} answers from:
+	// the live jobs plus at most terminalWindow terminal ones.
+	Jobs int `json:"jobs"`
 	// Tenants is the per-tenant breakdown (queue depth, quota state,
 	// sheds, cache hits/evictions) in first-seen order — the block the
 	// noisy-neighbor smoke reads to tell who is being throttled.
@@ -836,6 +867,7 @@ func (s *Server) Status() Statusz {
 	s.mu.Lock()
 	z.Submits, z.Dedups, z.Recovered = s.stats.submits, s.stats.dedups, s.stats.recovered
 	z.Draining = s.drain
+	z.Jobs = len(s.jobs)
 	s.mu.Unlock()
 	if s.journal != nil {
 		h := s.journal.Health()

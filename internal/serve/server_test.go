@@ -3,6 +3,9 @@ package serve
 import (
 	"errors"
 	"path/filepath"
+	"runtime"
+	"runtime/metrics"
+	"sync"
 	"testing"
 	"time"
 )
@@ -38,6 +41,26 @@ func newTestServer(t *testing.T, cfg Config) *Server {
 		t.Fatalf("NewServer: %v", err)
 	}
 	return s
+}
+
+// holdJobs makes s's workers wait for release before running a job
+// with spec's key, showing it as running meanwhile; started closes when
+// one is picked up. Call it before anything is submitted to s, and
+// defer release after deferring s.Drain so a failing test cannot leave
+// Drain waiting on a held worker.
+func holdJobs(s *Server, spec JobSpec) (started <-chan struct{}, release func()) {
+	run, key := s.pool.run, Key(spec)
+	start, gate := make(chan struct{}), make(chan struct{})
+	s.pool.run = func(j *Job) {
+		if j.Key == key {
+			j.state.Store(int32(StateRunning))
+			close(start)
+			<-gate
+		}
+		run(j)
+	}
+	var once sync.Once
+	return start, func() { once.Do(func() { close(gate) }) }
 }
 
 func awaitJob(t *testing.T, j *Job) {
@@ -311,5 +334,88 @@ func TestServerDeterministicFaultResult(t *testing.T) {
 	defer s2.Drain(5 * time.Second)
 	if st := s2.Status(); st.Recovered != 0 {
 		t.Errorf("deterministic failure re-enqueued on restart: recovered %d", st.Recovered)
+	}
+}
+
+// liveHeap is the heap the collector found live after a forced cycle.
+func liveHeap() int64 {
+	runtime.GC()
+	sample := []metrics.Sample{{Name: "/gc/heap/live:bytes"}}
+	metrics.Read(sample)
+	return int64(sample[0].Value.Uint64())
+}
+
+// TestCacheHitsDoNotGrowServerState: cache hits and finished jobs share
+// a fixed window of recent terminal jobs, so a long-running server's job
+// table and heap stay bounded however many hits it answers, while a live
+// job is never pushed out.
+func TestCacheHitsDoNotGrowServerState(t *testing.T) {
+	s := newTestServer(t, Config{Pool: PoolConfig{Workers: 1}})
+	defer s.Drain(10 * time.Second)
+	hit, held := quickSpec(8300), slowSpec(8301)
+	started, release := holdJobs(s, held)
+	defer release()
+
+	warm, err := s.Submit(hit)
+	if err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	awaitJob(t, warm)
+	live, err := s.Submit(held)
+	if err != nil {
+		t.Fatalf("Submit held job: %v", err)
+	}
+	select {
+	case <-started:
+	case <-time.After(30 * time.Second):
+		t.Fatal("held job never started")
+	}
+
+	hits := func(n int) (first, last *Job) {
+		for i := 0; i < n; i++ {
+			j, err := s.Submit(hit)
+			if err != nil {
+				t.Fatalf("cache hit: %v", err)
+			}
+			if j.State() != StateDone || !j.Result.Cached {
+				t.Fatalf("hit %s: state %v cached %v", j.ID, j.State(), j.Result.Cached)
+			}
+			if first == nil {
+				first = j
+			}
+			last = j
+		}
+		return first, last
+	}
+	// The first window's worth fills the window; what the rest retain
+	// is what a long-running server would keep per hit.
+	oldest, _ := hits(terminalWindow)
+	heap0 := liveHeap()
+	const measured = 3 * terminalWindow
+	_, newest := hits(measured)
+	grown := liveHeap() - heap0
+	t.Logf("live heap grew %d B over %d hits", grown, measured)
+
+	if z := s.Status(); z.Jobs > terminalWindow+1 {
+		t.Errorf("job table holds %d jobs after %d hits, want at most %d terminal + 1 live",
+			z.Jobs, terminalWindow+measured, terminalWindow)
+	}
+	if perHit := float64(grown) / measured; perHit >= 64 {
+		t.Errorf("live heap grew %d B over %d hits (%.0f B per hit), want under 64 B per hit",
+			grown, measured, perHit)
+	}
+	if j, err := s.Job(newest.ID); err != nil || j != newest {
+		t.Errorf("newest hit %s: %v", newest.ID, err)
+	}
+	if _, err := s.Job(oldest.ID); !errors.Is(err, ErrUnknownJob) {
+		t.Errorf("oldest hit %s: err %v, want ErrUnknownJob", oldest.ID, err)
+	}
+	if j, err := s.Job(live.ID); err != nil || j != live {
+		t.Fatalf("running job %s evicted: %v", live.ID, err)
+	}
+	release()
+	awaitJob(t, live)
+	if j, err := s.Job(live.ID); err != nil || j.State() != StateDone {
+		t.Fatalf("finished job %s not retrievable done: %v (state %v, err %q)", live.ID, err, live.State(), live.Err)
 	}
 }

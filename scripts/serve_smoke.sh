@@ -10,6 +10,10 @@
 #   2. The journal survives SIGKILL: a server killed with a job
 #      in flight must, on restart over the same journal, replay the
 #      job to completion with that same digest.
+#   3. The job table stays bounded: after a run of cache hits longer
+#      than the server's window of 1024 recent terminal jobs, /statusz
+#      counts at most 1024 + the live jobs, the first hit's ID is gone
+#      (404) and the last one answers done.
 #
 # Exits nonzero on any divergence. No arguments; runs from the repo
 # root in a throwaway temp dir.
@@ -35,6 +39,8 @@ get()  { curl -s "$1" | tr -d ' \n\t'; }
 post() { curl -s "$BASE/jobs" -d "$1" | tr -d ' \n\t'; }
 # field <json> <name> extracts a string field's value.
 field() { printf '%s' "$1" | sed -n "s/.*\"$2\":\"\([^\"]*\)\".*/\1/p"; }
+# num <json> <name> extracts the first numeric field of that name.
+num() { printf '%s' "$1" | grep -o "\"$2\":[0-9]*" | head -n 1 | cut -d: -f2; }
 
 # wait_ready polls /readyz until the server answers 200.
 wait_ready() {
@@ -124,6 +130,26 @@ case "$HIT" in
 esac
 [ "$(field "$HIT" digest)" = "$WANT" ] || fail "recovered cache digest $(field "$HIT" digest) != $WANT"
 say "first job served from recovered cache"
+
+# --- Invariant 3: cache hits do not grow the job table -------------
+# One curl process posts the smoke spec once per URL of the glob.
+HITS=1100 WINDOW=1024
+IDS=$(curl -s -d "$JOB_JSON" "$BASE/jobs?hit=[1-$HITS]" | tr -d ' \n\t' |
+  grep -o '"id":"j[0-9]*"' | cut -d'"' -f4)
+[ "$(printf '%s\n' "$IDS" | wc -l)" -eq "$HITS" ] || fail "expected $HITS hit ids, got $(printf '%s\n' "$IDS" | wc -l)"
+FIRST=$(printf '%s\n' "$IDS" | head -n 1)
+LAST=$(printf '%s\n' "$IDS" | tail -n 1)
+Z=$(get "$BASE/statusz")
+JOBS=$(num "$Z" jobs) LIVE=$(( $(num "$Z" queued) + $(num "$Z" running) ))
+[ -n "$JOBS" ] || fail "/statusz reports no jobs count: $Z"
+[ "$JOBS" -le $((WINDOW + LIVE)) ] || fail "/statusz jobs $JOBS > $WINDOW + $LIVE live after $HITS hits"
+CODE=$(curl -s -o /dev/null -w '%{http_code}' "$BASE/jobs/$FIRST")
+[ "$CODE" = 404 ] || fail "first hit $FIRST answered HTTP $CODE, want 404 (aged out of the window)"
+case "$(get "$BASE/jobs/$LAST")" in
+  *'"state":"done"'*) : ;;
+  *) fail "last hit $LAST not done" ;;
+esac
+say "$HITS cache hits: job table $JOBS (window $WINDOW + $LIVE live), first hit 404, last done"
 
 kill "$SRV_PID" 2>/dev/null || true
 wait "$SRV_PID" 2>/dev/null || true
