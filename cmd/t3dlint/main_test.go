@@ -13,7 +13,7 @@ import (
 // waive with //lint:allow, the "(N suppressed)" count `make lint`
 // prints. A new waiver needs a visible bump here in the same change;
 // lower it when waivers go.
-const maxSuppressed = 59
+const maxSuppressed = 58
 
 // TestTreeClean runs the full suite over the whole module — exactly
 // what `make lint` does — and asserts zero active findings and no more

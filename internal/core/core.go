@@ -133,7 +133,7 @@ func Sawtooth(newMachine func() *machine.T3D, probe Probe, cfg SawtoothConfig) P
 
 func sawtoothPoint(newMachine func() *machine.T3D, probe Probe, cfg SawtoothConfig, size, stride int64) float64 {
 	m := newMachine()
-	defer m.Eng.Shutdown() // reap the write-buffer procs the probe leaves parked
+	defer m.Eng.Shutdown() // reap any proc the probe leaves parked, which would pin the machine
 	var avg float64
 	m.RunOn(0, func(p *sim.Proc, n *machine.Node) {
 		if probe.Setup != nil {
@@ -192,7 +192,7 @@ func SawtoothWorkstation(probe WSProbe, cfg SawtoothConfig) Profile {
 				}
 				avg = float64(p.Now()-start) / float64(int64(passes)*(size/stride)) * cpu.NSPerCycle
 			})
-			w.Eng.Shutdown() // reap the parked write-buffer proc, which keeps the 64 MB DRAM alive
+			w.Eng.Shutdown() // reap any proc the probe leaves parked, which would keep the 64 MB DRAM alive
 			curve.Points = append(curve.Points, Point{size, stride, avg})
 		}
 		prof.Curves = append(prof.Curves, curve)

@@ -162,11 +162,10 @@ func countGoroutines() int {
 }
 
 // TestSawtoothWorkstationReapsProcs is the leak contract for the
-// workstation sweep: each point builds a 64 MB workstation whose
-// write-buffer drain proc stays parked after the probe returns, and
-// that parked goroutine keeps the whole machine reachable. The sweep
-// must shut each workstation down, so a one-point run leaves the
-// goroutine count where it found it.
+// workstation sweep: each point builds a 64 MB workstation, and a proc
+// left parked after the probe returns would keep the whole machine
+// reachable. A one-point run must leave the goroutine count where it
+// found it.
 func TestSawtoothWorkstationReapsProcs(t *testing.T) {
 	before := countGoroutines()
 	SawtoothWorkstation(WSRead(), SawtoothConfig{Sizes: []int64{16}, MinAccesses: 8, WarmPasses: 1})

@@ -62,12 +62,17 @@ type Remote interface {
 	// (4 or 8) at pa, advancing p through the full round trip.
 	ReadWord(p *sim.Proc, pa int64, size int) uint64
 	// ReadLine performs a blocking cached remote read, filling line
-	// (one cache line) from the remote node.
+	// (one cache line) from the remote node. line is not kept past the
+	// call.
 	ReadLine(p *sim.Proc, pa int64, line []byte)
-	// InjectEntry disposes of a drained write-buffer entry addressed to a
-	// remote node (a remote write or a prefetch request), blocking p (the
-	// drain proc) for the injection time.
-	InjectEntry(p *sim.Proc, e *wbuf.Entry)
+	// BeginInject starts disposing of a drained write-buffer entry bound
+	// for the shell (a remote write, or a prefetch request, local ones
+	// through the loopback) and returns the time its injection ends and
+	// the buffer slot frees. FinishInject completes it at that time. Both
+	// run in the write buffer's drain callbacks, one entry at a time, and
+	// must not block.
+	BeginInject(e *wbuf.Entry) sim.Time
+	FinishInject(e *wbuf.Entry)
 	// TakeStolen returns and clears cycles stolen from this CPU by
 	// message-receive interrupts since the last call.
 	TakeStolen() sim.Time
@@ -86,6 +91,9 @@ type CPU struct {
 	DRAM *mem.DRAM
 
 	Remote Remote // nil on the workstation
+
+	// fill stages a cached remote read's line on its way into L1.
+	fill [cache.MaxLineSize]byte
 
 	// Stats. ParityRefills counts loads that hit an L1 line with bad
 	// parity and recovered by invalidate + refill from DRAM.
@@ -152,7 +160,6 @@ func (c *CPU) load(p *sim.Proc, va int64, size int) uint64 {
 		p.Wait(pen)
 	}
 	if c.Remote != nil && !addr.IsLocal(pa) {
-		//lint:allow hotalloc the remote path allocates only a cached remote read's per-miss line, which escapes through the Remote interface; uncached reads and cached hits are allocation-free
 		return c.loadRemote(p, pa, size)
 	}
 	//lint:allow hotalloc the local path allocates only the list of poisoned words ECC reports on a miss; hits and clean misses are allocation-free
@@ -250,7 +257,7 @@ func (c *CPU) loadRemote(p *sim.Proc, pa int64, size int) uint64 {
 		}
 	}
 	c.WB.WaitNoConflict(p, pa)
-	line := make([]byte, c.L1.Config().LineSize)
+	line := c.fill[:c.L1.Config().LineSize]
 	lineAddr := c.L1.LineAddr(pa)
 	c.Remote.ReadLine(p, lineAddr, line)
 	c.L1.Fill(lineAddr, line)
@@ -350,30 +357,41 @@ func (c *CPU) FlushCache(p *sim.Proc) {
 	c.L1.InvalidateAll()
 }
 
-// Drain implements wbuf.Sink: it disposes of one drained entry, routing
-// local writes to DRAM and remote traffic to the shell. p is the write
-// buffer's drain proc, not the CPU's thread.
-func (c *CPU) Drain(p *sim.Proc, e *wbuf.Entry) {
-	if c.Remote != nil && !addr.IsLocal(e.LineAddr) {
-		c.Remote.InjectEntry(p, e)
-		return
-	}
-	if e.Kind == wbuf.KindFetch {
-		// A fetch hint for a local address: serviced from local memory
-		// into the prefetch queue via the shell's loopback.
-		if c.Remote != nil {
-			c.Remote.InjectEntry(p, e)
-			return
-		}
+// BeginDrain implements wbuf.Sink: it starts disposing of one drained
+// entry, routing local writes to DRAM and remote traffic to the shell,
+// and returns the time the entry's buffer slot frees.
+func (c *CPU) BeginDrain(e *wbuf.Entry) sim.Time {
+	switch {
+	case c.viaShell(e):
+		return c.Remote.BeginInject(e)
+	case e.Kind == wbuf.KindFetch:
 		// Workstation: the 21064 fetch instruction is a no-op hint.
-		return
+		return c.Eng.Now()
 	}
-	off := addr.Offset(e.LineAddr)
-	complete, _ := c.DRAM.WriteAccess(p.Now(), off)
-	p.WaitUntil(complete)
-	e.Bytes(func(a int64, v byte) {
-		c.DRAM.Write(addr.Offset(a), []byte{v})
-	})
+	complete, _ := c.DRAM.WriteAccess(c.Eng.Now(), addr.Offset(e.LineAddr))
+	return complete
+}
+
+// FinishDrain implements wbuf.Sink: it completes the drain BeginDrain
+// started, once the slot frees. A local write lands with one DRAM write
+// per run of valid bytes.
+func (c *CPU) FinishDrain(e *wbuf.Entry) {
+	switch {
+	case c.viaShell(e):
+		c.Remote.FinishInject(e)
+	case e.Kind == wbuf.KindWrite:
+		off := addr.Offset(e.LineAddr)
+		for lo, hi := e.Run(0); lo < hi; lo, hi = e.Run(hi) {
+			c.DRAM.Write(off+int64(lo), e.Data[lo:hi])
+		}
+	}
+}
+
+// viaShell reports whether a drained entry goes to the shell: remote
+// traffic, and on a T3D node every fetch hint — a local one is serviced
+// from local memory into the prefetch queue via the shell's loopback.
+func (c *CPU) viaShell(e *wbuf.Entry) bool {
+	return c.Remote != nil && (e.Kind == wbuf.KindFetch || !addr.IsLocal(e.LineAddr))
 }
 
 func word(b []byte) uint64 {

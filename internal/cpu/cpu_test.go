@@ -1,6 +1,8 @@
 package cpu
 
 import (
+	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/cache"
@@ -19,9 +21,7 @@ func newLocalCPU(eng *sim.Engine) *CPU {
 		TLB:   tlb.New(tlb.T3DConfig()),
 		DRAM:  mem.New(mem.T3DNodeConfig(1 << 20)),
 	}
-	wb := wbuf.New(eng, 4, c)
-	c.WB = wb
-	wb.Start("wbuf")
+	c.WB = wbuf.New(eng, 4, c)
 	return c
 }
 
@@ -35,9 +35,7 @@ func newWSCPU(eng *sim.Engine) *CPU {
 		TLB:   tlb.New(tlb.WorkstationConfig()),
 		DRAM:  mem.New(mem.WorkstationConfig(4 << 20)),
 	}
-	wb := wbuf.New(eng, 4, c)
-	c.WB = wb
-	wb.Start("wbuf")
+	c.WB = wbuf.New(eng, 4, c)
 	return c
 }
 
@@ -295,4 +293,73 @@ func TestByteIndexRangePanics(t *testing.T) {
 	runCPU(t, newLocalCPU, func(p *sim.Proc, c *CPU) {
 		c.ExtractByte(p, 0, 8)
 	})
+}
+
+// TestDrainWritesRunsLikeBytes: a local write entry drains as one DRAM
+// write per run of valid bytes. Over words carrying injected single and
+// double flips, memory, its fault table and its integrity counters end
+// exactly as if every valid byte had been written on its own.
+func TestDrainWritesRunsLikeBytes(t *testing.T) {
+	const base, lines = 0x4000, 16
+	rng := rand.New(rand.NewSource(24))
+	c := newLocalCPU(sim.NewEngine())
+	ref := mem.New(mem.T3DNodeConfig(1 << 20))
+	c.DRAM.SetECC(true)
+	ref.SetECC(true)
+	for i := 0; i < 2000; i++ {
+		if i%3 == 0 {
+			w := base + int64(rng.Intn(lines*wbuf.LineSize/8))*8
+			flip := uint64(1) << rng.Intn(64)
+			if rng.Intn(2) == 0 {
+				flip |= 1 << rng.Intn(64)
+			}
+			c.DRAM.InjectFlip(w, flip)
+			ref.InjectFlip(w, flip)
+		}
+		e := wbuf.Entry{Kind: wbuf.KindWrite, LineAddr: base + int64(rng.Intn(lines))*wbuf.LineSize, Mask: rng.Uint32()}
+		switch rng.Intn(3) {
+		case 0:
+			e.Mask &= rng.Uint32() // sparse: short runs
+		case 1:
+			e.Mask |= rng.Uint32() // dense: long runs
+		}
+		rng.Read(e.Data[:])
+		c.FinishDrain(&e)
+		for b := 0; b < wbuf.LineSize; b++ {
+			if e.Mask&(1<<uint(b)) != 0 {
+				ref.Write(e.LineAddr+int64(b), e.Data[b:b+1])
+			}
+		}
+	}
+	sameMemory(t, c.DRAM, ref)
+}
+
+// sameMemory fails t unless got and want hold the same bytes, the same
+// integrity counters and the same latent faults. Scrubbing both repairs
+// each single flip by its mask, so equal images afterwards mean equal
+// masks too.
+func sameMemory(t *testing.T, got, want *mem.DRAM) {
+	t.Helper()
+	if st := want.Integrity(); st.Overwritten == 0 || st.MultiWords == 0 || want.LatentWords() == 0 {
+		t.Fatalf("premise: double flips, faults the writes retire and faults they leave (%+v, %d latent)",
+			st, want.LatentWords())
+	}
+	for _, scrubbed := range []bool{false, true} {
+		if scrubbed {
+			got.ScrubAll()
+			want.ScrubAll()
+		}
+		var gi, wi mem.Image
+		got.Snapshot(&gi)
+		want.Snapshot(&wi)
+		if !reflect.DeepEqual(gi, wi) {
+			t.Errorf("scrubbed=%v: memory images differ", scrubbed)
+		}
+		if g, w := got.Integrity(), want.Integrity(); g != w {
+			t.Errorf("scrubbed=%v: Integrity() = %+v, want %+v", scrubbed, g, w)
+		}
+		if g, w := got.LatentWords(), want.LatentWords(); g != w {
+			t.Errorf("scrubbed=%v: LatentWords() = %d, want %d", scrubbed, g, w)
+		}
+	}
 }

@@ -3,15 +3,19 @@ package exp
 // Golden-output regression tests: the simulator is deterministic, so the
 // rendered experiment tables are stable byte for byte. Any timing-model
 // change shows up here as a readable diff. Every experiment is pinned at
-// quick scale, all in this one process. Refresh with:
+// quick scale, all in this one process, and must leave no goroutine
+// behind: a machine whose run was aborted parks its procs until it is
+// shut down. Refresh with:
 //
 //	UPDATE_GOLDEN=1 go test ./internal/exp -run Golden
 
 import (
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 )
 
 // shortGoldenIDs are the experiments pinned under -short: the race
@@ -32,9 +36,13 @@ func TestGoldenExperimentOutput(t *testing.T) {
 			if !ok {
 				t.Fatalf("experiment %s missing", id)
 			}
+			before := runtime.NumGoroutine()
 			var sb strings.Builder
 			for _, tb := range e.Run(Options{Quick: true}) {
 				tb.Render(&sb)
+			}
+			if after := settledGoroutines(before); after > before {
+				t.Errorf("%d goroutines after the run, %d before: a machine was left unreaped", after, before)
 			}
 			got := sb.String()
 			path := filepath.Join("testdata", id+".golden")
@@ -56,4 +64,15 @@ func TestGoldenExperimentOutput(t *testing.T) {
 			}
 		})
 	}
+}
+
+// settledGoroutines returns the goroutine count once it is at most want,
+// or after a short grace period for reaped procs' goroutines to exit.
+func settledGoroutines(want int) int {
+	n := runtime.NumGoroutine()
+	for i := 0; i < 50 && n > want; i++ {
+		time.Sleep(2 * time.Millisecond)
+		n = runtime.NumGoroutine()
+	}
+	return n
 }

@@ -149,6 +149,7 @@ func partitionTable(cfg em3d.Config) report.Table {
 	m := em3d.NewMachine(4)
 	fault.NewInjector(s).Attach(m)
 	_, _, err := em3d.RunRecoverable(m, cfg, em3d.Put, em3d.DefaultKnobs(), splitc.RecoveryConfig{}, nil)
+	m.Eng.Shutdown() // the aborted run leaves the other PEs' procs parked
 	outcome := "COMPLETED (unexpected: partition went unnoticed)"
 	if errors.Is(err, net.ErrPartitioned) {
 		outcome = "ErrPartitioned returned at the first unreachable access"

@@ -110,7 +110,6 @@ func NewChecked(cfg Config) (*T3D, error) {
 		}
 		wb := wbuf.New(eng, cfg.WBufEntries, c)
 		c.WB = wb
-		wb.Start(fmt.Sprintf("wbuf-pe%d", pe))
 		// The annex store-conditional issues behind buffered stores.
 		sh.SetDrainer(wb)
 		m.Nodes = append(m.Nodes, &Node{
@@ -183,9 +182,7 @@ func NewWorkstation() *Workstation {
 		TLB:   tlb.New(tlb.WorkstationConfig()),
 		DRAM:  dram,
 	}
-	wb := wbuf.New(eng, 4, c)
-	c.WB = wb
-	wb.Start("wbuf-ws")
+	c.WB = wbuf.New(eng, 4, c)
 	return &Workstation{Eng: eng, CPU: c, DRAM: dram}
 }
 

@@ -266,9 +266,16 @@ func TestJournalRotationBoundary(t *testing.T) {
 	}
 }
 
-func jobID(n int) string { return fmtID(n) }
-
 func fmtID(n int) string { return fmt.Sprintf("j%08d", n) }
+
+// TestJobIDFormat: the server mints IDs as "j%08d" without fmt.
+func TestJobIDFormat(t *testing.T) {
+	for _, n := range []int{0, 7, 42, 99999999, 100000000, 1234567890} {
+		if got, want := jobID(n), fmtID(n); got != want {
+			t.Errorf("jobID(%d) = %q, want %q", n, got, want)
+		}
+	}
+}
 
 // TestJournalCompaction: rotation-triggered compaction drops finished
 // submit/running churn but never a done record, and the compacted

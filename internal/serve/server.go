@@ -273,11 +273,10 @@ func (s *Server) Submit(spec JobSpec) (*Job, error) {
 	// Cache hit: done before it started. Served even while the journal
 	// is degraded — a cached result needs no new durability.
 	if res, ok := s.cache.Get(key, tenant); ok {
-		job := s.newJobLocked(key, tenant, spec)
+		job := s.newJobLocked(key, tenant, spec, closedDone)
 		res.Cached = true
 		job.Result = res
 		job.state.Store(int32(StateDone))
-		close(job.done)
 		s.retireLocked(job)
 		s.mu.Unlock()
 		return job, nil
@@ -292,7 +291,7 @@ func (s *Server) Submit(spec JobSpec) (*Job, error) {
 	// Admission is decided under s.mu, and only an admitted job enters
 	// byKey: a duplicate submit can never dedup onto a job the pool
 	// sheds. Pool.Submit takes only the pool's own lock.
-	job := s.newJobLocked(key, tenant, spec)
+	job := s.newJobLocked(key, tenant, spec, make(chan struct{}))
 	if err := s.pool.Submit(job); err != nil {
 		delete(s.jobs, job.ID)
 		s.mu.Unlock()
@@ -312,13 +311,33 @@ func (s *Server) Submit(spec JobSpec) (*Job, error) {
 	return job, nil
 }
 
-// newJobLocked allocates a job and registers it by ID (s.mu held).
-func (s *Server) newJobLocked(key uint64, tenant string, spec JobSpec) *Job {
-	job := &Job{ID: fmt.Sprintf("j%08d", s.seq), Key: key, Tenant: tenant, Spec: spec,
-		done: make(chan struct{})}
+// closedDone is the completion channel of every job that is terminal
+// at birth (a cache hit): closed once, shared by all of them.
+var closedDone = func() chan struct{} {
+	c := make(chan struct{})
+	close(c)
+	return c
+}()
+
+// newJobLocked allocates a job completing on done and registers it by
+// ID (s.mu held).
+func (s *Server) newJobLocked(key uint64, tenant string, spec JobSpec, done chan struct{}) *Job {
+	job := &Job{ID: jobID(s.seq), Key: key, Tenant: tenant, Spec: spec, done: done}
 	s.seq++
 	s.jobs[job.ID] = job
 	return job
+}
+
+// jobID formats job number seq as "j%08d" without fmt.
+func jobID(seq int) string {
+	var digits [20]byte
+	d := strconv.AppendInt(digits[:0], int64(seq), 10)
+	var buf [32]byte
+	b := append(buf[:0], 'j')
+	for i := len(d); i < 8; i++ {
+		b = append(b, '0')
+	}
+	return string(append(b, d...))
 }
 
 // retireLocked moves a finished job into the window of recent terminal
@@ -643,11 +662,18 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
+// writeJSON writes v as compact JSON: job responses are read by
+// programs (t3dclient re-indents what it prints).
 func writeJSON(w http.ResponseWriter, code int, v any) {
+	writeJSONIndent(w, code, v, "")
+}
+
+// writeJSONIndent writes v as JSON indented by indent per level.
+func writeJSONIndent(w http.ResponseWriter, code int, v any, indent string) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
+	enc.SetIndent("", indent)
 	if err := enc.Encode(v); err != nil {
 		// The client went away mid-response; nothing to recover.
 		_ = err
@@ -901,6 +927,7 @@ func (s *Server) Status() Statusz {
 	return z
 }
 
+// handleStatusz serves the status indented: it is the human view.
 func (s *Server) handleStatusz(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, s.Status())
+	writeJSONIndent(w, http.StatusOK, s.Status(), "  ")
 }

@@ -419,3 +419,30 @@ func TestCacheHitsDoNotGrowServerState(t *testing.T) {
 		t.Fatalf("finished job %s not retrievable done: %v (state %v, err %q)", live.ID, err, live.State(), live.Err)
 	}
 }
+
+// TestSubmitCacheHitAllocs pins what a warm cache hit allocates: the Job
+// record and its ID string, nothing else. Hits share one closed
+// completion channel, and the window of recent terminal jobs is full,
+// so each hit evicts the oldest instead of growing it.
+func TestSubmitCacheHitAllocs(t *testing.T) {
+	s := newTestServer(t, Config{})
+	defer s.Drain(5 * time.Second)
+	spec := quickSpec(3)
+	j, err := s.Submit(spec)
+	if err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	awaitJob(t, j)
+	hit := func() {
+		if j, err := s.Submit(spec); err != nil || !j.Result.Cached {
+			t.Fatalf("cache hit: %v", err)
+		}
+	}
+	for i := 0; i < 2*terminalWindow; i++ {
+		hit()
+	}
+	allocs := testing.AllocsPerRun(1000, hit)
+	if allocs > 2 {
+		t.Errorf("%v allocations per cache hit, want at most 2 (the Job and its ID)", allocs)
+	}
+}

@@ -12,6 +12,7 @@ package shell
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/addr"
 	"repro/internal/cache"
@@ -97,6 +98,11 @@ type Shell struct {
 	reqPort   sim.Resource // outgoing load/request injection
 	storePort sim.Resource // outgoing write/prefetch drain injection
 	respPort  sim.Resource // outgoing response/ack injection
+
+	// The write buffer's one in-flight drain, from BeginInject to
+	// FinishInject: a write's target PE, or a prefetch's FIFO slot.
+	drainPE   int
+	drainSlot *pqSlot
 
 	outstandingWrites int
 	writeChanged      *sim.Signal
@@ -255,9 +261,9 @@ func (s *Shell) TakeCongestionMark(src int) bool {
 // node to pe in both directions — every shell transaction needs the
 // reverse path for its response or acknowledgement. On failure it panics
 // with a *net.PartitionError (an error value), which unwinds the issuing
-// proc and surfaces from sim.RunErr as a *ProcFailure wrapping
-// net.ErrPartitioned: an explicit, inspectable failure instead of a hang
-// on a response that can never arrive.
+// proc or write-buffer drain callback and surfaces from sim.RunErr as a
+// *ProcFailure wrapping net.ErrPartitioned: an explicit, inspectable
+// failure instead of a hang on a response that can never arrive.
 //
 //t3d:hotpath
 func (s *Shell) checkReachable(pe int) {
@@ -332,10 +338,12 @@ func (s *Shell) ReadLine(p *sim.Proc, pa int64, line []byte) {
 	tx.done = tx.lineDone
 	s.afterInject(&s.reqPort, s.cfg.ReqInject, tx.sendFn)
 	p.WaitSignal(tx.done)
+	p.Wait(s.cfg.RespAccept + s.cfg.CachedFillExtra)
+	// Copy out after the last wait: the caller installs line before any
+	// other proc runs, so a line buffer the CPU reuses stays intact.
 	copy(line, tx.data[:tx.size])
 	poisoned := tx.poisoned
 	s.putRead(tx)
-	p.Wait(s.cfg.RespAccept + s.cfg.CachedFillExtra)
 	if poisoned {
 		// Unwind before the caller can install the line in its cache.
 		panic(&mem.PoisonError{PE: e.PE, Addr: off})
@@ -344,60 +352,70 @@ func (s *Shell) ReadLine(p *sim.Proc, pa int64, line []byte) {
 
 // --- Remote writes and prefetch injection ---
 
-// InjectEntry implements cpu.Remote: it disposes of a drained write
-// buffer entry bound for the shell — a remote write or a prefetch
-// request. p is the write buffer's drain proc.
-func (s *Shell) InjectEntry(p *sim.Proc, e *wbuf.Entry) {
+// BeginInject implements cpu.Remote: it starts injecting a drained
+// write-buffer entry bound for the shell — a remote write or a prefetch
+// request — and returns the time the injection ends.
+func (s *Shell) BeginInject(e *wbuf.Entry) sim.Time {
 	switch e.Kind {
 	case wbuf.KindWrite:
-		s.injectWrite(p, e)
+		return s.beginWrite(e)
 	case wbuf.KindFetch:
-		s.injectFetch(p, e)
-	default:
-		panic("shell: unknown entry kind")
+		return s.beginFetch(e)
+	}
+	panic("shell: unknown entry kind")
+}
+
+// FinishInject implements cpu.Remote: the entry BeginInject started has
+// left the processor.
+func (s *Shell) FinishInject(e *wbuf.Entry) {
+	if e.Kind == wbuf.KindWrite {
+		s.finishWrite(e)
+	} else {
+		s.finishFetch()
 	}
 }
 
-func (s *Shell) injectWrite(p *sim.Proc, e *wbuf.Entry) {
+func (s *Shell) beginWrite(e *wbuf.Entry) sim.Time {
 	ae := s.annex[addr.Annex(e.LineAddr)]
 	s.checkReachable(ae.PE)
-	lineOff := addr.Offset(e.LineAddr)
-	nbytes := 0
-	for i := 0; i < wbuf.LineSize; i++ {
-		if e.Mask&(1<<uint(i)) != 0 {
-			nbytes++
-		}
-	}
-	flits := sim.Time((nbytes + 7) / 8)
+	s.drainPE = ae.PE
+	flits := sim.Time((bits.OnesCount32(e.Mask) + 7) / 8)
 	inj := s.cfg.WriteHeader + flits*s.cfg.WriteFlit8
 	// Writes drain through their own injection path: loads bypass the
 	// write stream entirely (§3.4 — the reads-bypass-writes ordering).
-	start := s.storePort.Acquire(p.Now(), inj)
-	p.WaitUntil(start + inj)
+	start := s.storePort.Acquire(s.eng.Now(), inj)
+	return start + inj
+}
+
+func (s *Shell) finishWrite(e *wbuf.Entry) {
 	// The write has now left the processor: the shell status bit covers
 	// it from here until the ack returns (§4.3).
 	s.outstandingWrites++
 	s.RemoteWrites++
 	tx := s.getWrite()
-	tx.rn, tx.lineOff, tx.entry = s.node(ae.PE), lineOff, *e
-	s.fab.Net.SendData(s.pe, ae.PE, nbytes, tx.deliverFn)
+	tx.rn, tx.lineOff, tx.entry = s.node(s.drainPE), addr.Offset(e.LineAddr), *e
+	s.fab.Net.SendData(s.pe, s.drainPE, bits.OnesCount32(e.Mask), tx.deliverFn)
 }
 
-func (s *Shell) injectFetch(p *sim.Proc, e *wbuf.Entry) {
+func (s *Shell) beginFetch(e *wbuf.Entry) sim.Time {
 	ae := s.annex[addr.Annex(e.FetchAddr)]
 	s.checkReachable(ae.PE)
-	off := addr.Offset(e.FetchAddr)
 	if s.pqLen >= s.cfg.PrefetchEntries {
 		panic(fmt.Sprintf("shell: prefetch queue overflow on PE %d (>%d outstanding)",
 			s.pe, s.cfg.PrefetchEntries))
 	}
 	slot := &s.pq[(s.pqHead+s.pqLen)%len(s.pq)]
-	*slot = pqSlot{srcPE: ae.PE, addr: off}
+	*slot = pqSlot{srcPE: ae.PE, addr: addr.Offset(e.FetchAddr)}
 	s.pqLen++
 	s.Prefetches++
-	start := s.storePort.Acquire(p.Now(), s.cfg.FetchInject)
-	p.WaitUntil(start + s.cfg.FetchInject)
-	tx := s.getRead(ae.PE, off, 8)
+	s.drainSlot = slot
+	start := s.storePort.Acquire(s.eng.Now(), s.cfg.FetchInject)
+	return start + s.cfg.FetchInject
+}
+
+func (s *Shell) finishFetch() {
+	slot := s.drainSlot
+	tx := s.getRead(slot.srcPE, slot.addr, 8)
 	tx.slot = slot
 	tx.send()
 }

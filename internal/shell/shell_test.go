@@ -1,6 +1,8 @@
 package shell
 
 import (
+	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/cache"
@@ -355,13 +357,12 @@ type bufferedSender struct {
 func newBufferedSender(eng *sim.Engine, sh *Shell) *bufferedSender {
 	b := &bufferedSender{sh: sh}
 	b.wb = wbuf.New(eng, 4, b)
-	b.wb.Start("test-wbuf")
 	return b
 }
 
-func (b *bufferedSender) Drain(p *sim.Proc, e *wbuf.Entry) {
-	b.sh.InjectEntry(p, e)
-}
+func (b *bufferedSender) BeginDrain(e *wbuf.Entry) sim.Time { return b.sh.BeginInject(e) }
+
+func (b *bufferedSender) FinishDrain(e *wbuf.Entry) { b.sh.FinishInject(e) }
 
 func TestEurekaGlobalOR(t *testing.T) {
 	eng := sim.NewEngine()
@@ -420,4 +421,75 @@ func TestEurekaReset(t *testing.T) {
 		}
 	})
 	eng.Run()
+}
+
+// TestLandWritesRunsLikeBytes: a remote write lands as one DRAM write
+// per run of valid bytes, clean or corrupted in flight. Over words
+// carrying injected single and double flips, the target's memory, fault
+// table and integrity counters end exactly as if every valid byte had
+// been written on its own.
+func TestLandWritesRunsLikeBytes(t *testing.T) {
+	const base, lines = 0x4000, 16
+	rng := rand.New(rand.NewSource(24))
+	_, fab := testFabric(2)
+	s, rn := fab.Nodes[0].Shell, fab.Nodes[1]
+	ref := mem.New(mem.T3DNodeConfig(1 << 20))
+	rn.DRAM.SetECC(true)
+	ref.SetECC(true)
+	for i := 0; i < 2000; i++ {
+		if i%3 == 0 {
+			w := base + int64(rng.Intn(lines*wbuf.LineSize/8))*8
+			flip := uint64(1) << rng.Intn(64)
+			if rng.Intn(2) == 0 {
+				flip |= 1 << rng.Intn(64)
+			}
+			rn.DRAM.InjectFlip(w, flip)
+			ref.InjectFlip(w, flip)
+		}
+		tx := s.newWriteTx()
+		tx.rn, tx.lineOff = rn, base+int64(rng.Intn(lines))*wbuf.LineSize
+		tx.entry = wbuf.Entry{Kind: wbuf.KindWrite, LineAddr: tx.lineOff, Mask: rng.Uint32()}
+		switch rng.Intn(3) {
+		case 0:
+			tx.entry.Mask &= rng.Uint32() // sparse: short runs
+		case 1:
+			tx.entry.Mask |= rng.Uint32() // dense: long runs
+		}
+		rng.Read(tx.entry.Data[:])
+		var flipByte byte
+		if rng.Intn(4) == 0 {
+			tx.fault, flipByte = net.FaultCorrupt, 0xA5
+		}
+		e := tx.entry
+		tx.land()
+		for b := 0; b < wbuf.LineSize; b++ {
+			if e.Mask&(1<<uint(b)) != 0 {
+				ref.Write(e.LineAddr+int64(b), []byte{e.Data[b] ^ flipByte})
+			}
+		}
+	}
+	if st := ref.Integrity(); st.Overwritten == 0 || st.MultiWords == 0 || ref.LatentWords() == 0 {
+		t.Fatalf("premise: double flips, faults the writes retire and faults they leave (%+v, %d latent)",
+			st, ref.LatentWords())
+	}
+	// Scrubbing repairs each single flip by its mask, so equal images
+	// afterwards mean equal fault masks too.
+	for _, scrubbed := range []bool{false, true} {
+		if scrubbed {
+			rn.DRAM.ScrubAll()
+			ref.ScrubAll()
+		}
+		var gi, wi mem.Image
+		rn.DRAM.Snapshot(&gi)
+		ref.Snapshot(&wi)
+		if !reflect.DeepEqual(gi, wi) {
+			t.Errorf("scrubbed=%v: memory images differ", scrubbed)
+		}
+		if g, w := rn.DRAM.Integrity(), ref.Integrity(); g != w {
+			t.Errorf("scrubbed=%v: Integrity() = %+v, want %+v", scrubbed, g, w)
+		}
+		if g, w := rn.DRAM.LatentWords(), ref.LatentWords(); g != w {
+			t.Errorf("scrubbed=%v: LatentWords() = %d, want %d", scrubbed, g, w)
+		}
+	}
 }

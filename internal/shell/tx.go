@@ -3,7 +3,6 @@ package shell
 import (
 	"encoding/binary"
 
-	"repro/internal/addr"
 	"repro/internal/cache"
 	"repro/internal/net"
 	"repro/internal/sim"
@@ -214,13 +213,12 @@ func (tx *writeTx) land() {
 	case net.FaultDrop:
 		// Payload lost in flight.
 	case net.FaultCorrupt:
-		tx.entry.Bytes(func(a int64, v byte) {
-			rn.DRAM.Write(addr.Offset(a), []byte{v ^ 0xA5})
-		})
+		for i := range tx.entry.Data { // the record's own copy
+			tx.entry.Data[i] ^= 0xA5
+		}
+		tx.write()
 	default:
-		tx.entry.Bytes(func(a int64, v byte) {
-			rn.DRAM.Write(addr.Offset(a), []byte{v})
-		})
+		tx.write()
 	}
 	if s.cfg.InvalidateMode {
 		// Cache-invalidate mode: flush the target line on the owning
@@ -232,6 +230,15 @@ func (tx *writeTx) land() {
 	}
 	rn.Shell.arrival.Fire(s.eng)
 	s.eng.After(s.cfg.WriteAckExtra, tx.ackFn)
+}
+
+// write stores the entry's valid bytes at the target, one DRAM write
+// per run of them.
+func (tx *writeTx) write() {
+	e := &tx.entry
+	for lo, hi := e.Run(0); lo < hi; lo, hi = e.Run(hi) {
+		tx.rn.DRAM.Write(tx.lineOff+int64(lo), e.Data[lo:hi])
+	}
 }
 
 func (tx *writeTx) ack() {

@@ -211,18 +211,21 @@ func (l *LivelockError) Error() string {
 		l.Now, l.Progress, l.Checks, Time(l.Checks)*l.Interval)
 }
 
-// ProcFailure reports that a proc body panicked with an error value —
-// the convention for simulated hardware faults that abort a run (for
-// example a partitioned torus). RunErr returns it instead of panicking,
-// so callers can errors.Is/As into the underlying cause. Procs that
-// panic with a non-error value still crash the run: that is a bug, not
-// a modeled failure.
+// ProcFailure reports that a proc body or an event callback panicked
+// with an error value — the convention for simulated hardware faults
+// that abort a run (for example a partitioned torus). RunErr returns it
+// instead of panicking, so callers can errors.Is/As into the underlying
+// cause. A panic with a non-error value still crashes the run: that is
+// a bug, not a modeled failure.
 type ProcFailure struct {
-	Proc string // name of the failed proc
-	Err  error  // the error the proc panicked with
+	Proc string // name of the failed proc; empty for a callback
+	Err  error  // the error the proc or callback panicked with
 }
 
 func (f *ProcFailure) Error() string {
+	if f.Proc == "" {
+		return fmt.Sprintf("sim: event callback failed: %v", f.Err)
+	}
 	return fmt.Sprintf("sim: proc %q failed: %v", f.Proc, f.Err)
 }
 
@@ -290,11 +293,12 @@ func (e *Engine) Run() Time {
 }
 
 // RunErr is Run with structured failure reporting: deadlock and livelock
-// are returned as *DeadlockError / *LivelockError, and a proc that panics
-// with an error value is returned as a *ProcFailure, instead of
-// panicking — so callers can inspect the failure programmatically. A
-// callback that panics is re-raised here with its original value,
-// whichever proc's park ran it.
+// are returned as *DeadlockError / *LivelockError, and a proc or a
+// callback that panics with an error value is returned as a
+// *ProcFailure, instead of panicking — so callers can inspect the
+// failure programmatically. A callback that panics with any other value
+// is re-raised here with its original value, whichever proc's park ran
+// it.
 //
 // RunErr is the one loop that resumes procs: it runs the event loop
 // until it reaches a proc's wakeup, then resumes that proc's coroutine
@@ -325,13 +329,18 @@ func (e *Engine) RunErr() (Time, error) {
 	case stopCancel:
 		return e.now, e.stopErr
 	case stopPanic:
-		if e.stopProc == nil {
+		p := e.stopProc
+		if err, ok := e.stopPanic.(error); ok {
+			f := &ProcFailure{Err: err}
+			if p != nil {
+				f.Proc = p.name
+			}
+			return e.now, f
+		}
+		if p == nil {
 			panic(e.stopPanic)
 		}
-		if err, ok := e.stopPanic.(error); ok {
-			return e.now, &ProcFailure{Proc: e.stopProc.name, Err: err}
-		}
-		panic(fmt.Sprintf("sim: proc %q panicked: %v", e.stopProc.name, e.stopPanic))
+		panic(fmt.Sprintf("sim: proc %q panicked: %v", p.name, e.stopPanic))
 	}
 
 	var stuck []BlockedProc
@@ -353,7 +362,7 @@ func (e *Engine) RunErr() (Time, error) {
 // which it marks running and returns. It returns nil when the run is
 // over, with the reason in e.stop. A panicking callback ends the run
 // too: it is recovered here, so no recover in the body of the proc that
-// is parking can see it, and RunErr re-raises it.
+// is parking can see it, and RunErr reports it.
 func (e *Engine) dispatch() (next *Proc) {
 	defer e.recoverCallback()
 	for len(e.events) > 0 {
@@ -405,7 +414,7 @@ func (e *Engine) dispatch() (next *Proc) {
 }
 
 // recoverCallback is dispatch's deferred half: it ends the run on a
-// callback panic, recording the value for RunErr to re-raise.
+// callback panic, recording the value for RunErr to report.
 func (e *Engine) recoverCallback() {
 	if r := recover(); r != nil {
 		e.stop, e.stopProc, e.stopPanic = stopPanic, nil, r

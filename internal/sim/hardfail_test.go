@@ -105,6 +105,35 @@ func TestRunErrWrapsErrorPanics(t *testing.T) {
 	}
 }
 
+// The same holds for an event callback (a device model's drain step),
+// whichever proc's park runs it: RunErr reports a *ProcFailure with no
+// proc name, and the parked proc's body never sees the panic.
+func TestRunErrWrapsCallbackErrorPanics(t *testing.T) {
+	e := NewEngine()
+	boom := &testHardError{}
+	var seen any
+	e.Spawn("holder", func(p *Proc) {
+		defer func() { seen = recover() }()
+		e.At(5, func() { panic(boom) })
+		p.Wait(10)
+	})
+	_, err := e.RunErr()
+	pf, ok := err.(*ProcFailure)
+	if !ok {
+		t.Fatalf("err = %v (%T), want *ProcFailure", err, err)
+	}
+	if pf.Proc != "" || pf.Unwrap() != boom {
+		t.Errorf("ProcFailure = %+v, want no proc name and the original error", pf)
+	}
+	if got, want := err.Error(), "sim: event callback failed: modeled hardware failure"; got != want {
+		t.Errorf("Error() = %q, want %q", got, want)
+	}
+	e.Shutdown()
+	if seen != nil {
+		t.Errorf("the proc body recovered %v", seen)
+	}
+}
+
 type testHardError struct{}
 
 func (*testHardError) Error() string { return "modeled hardware failure" }

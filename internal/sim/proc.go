@@ -70,7 +70,7 @@ func (e *Engine) Spawn(name string, body func(p *Proc)) *Proc {
 }
 
 // SpawnDaemon is like Spawn, but the proc is exempt from deadlock
-// detection: it is expected to idle forever (device drain loops, pollers).
+// detection: it is expected to idle forever (pollers, test drivers).
 func (e *Engine) SpawnDaemon(name string, body func(p *Proc)) *Proc {
 	p := e.Spawn(name, body)
 	p.daemon = true

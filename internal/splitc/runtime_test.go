@@ -393,6 +393,8 @@ func TestRemoteOpsDoNotAllocate(t *testing.T) {
 		op   func(c *Ctx, i int)
 	}{
 		{"Read", func(c *Ctx, i int) { c.Read(target(i)) }},
+		// ReadCached flushes the line it read, so every read misses.
+		{"ReadCached", func(c *Ctx, i int) { c.ReadCached(target(i)) }},
 		{"Write", func(c *Ctx, i int) { c.Write(target(i), uint64(i)) }},
 		{"Get+Sync", func(c *Ctx, i int) {
 			c.Get(base+int64(i)*8, target(i))

@@ -24,6 +24,7 @@ package wbuf
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/sim"
 )
@@ -55,26 +56,39 @@ type Entry struct {
 	draining bool
 }
 
-// Bytes returns the valid (addr, value) pairs of a write entry in
-// ascending address order.
-func (e *Entry) Bytes(fn func(addr int64, v byte)) {
-	for i := 0; i < LineSize; i++ {
-		if e.Mask&(1<<uint(i)) != 0 {
-			fn(e.LineAddr+int64(i), e.Data[i])
-		}
+// Run returns the first maximal run of valid bytes of a write entry at
+// or after line offset from, as the offsets [lo, hi); lo == hi ==
+// LineSize when there is none. Draining an entry run by run writes each
+// run with one memory access:
+//
+//	for lo, hi := e.Run(0); lo < hi; lo, hi = e.Run(hi) { ... e.Data[lo:hi] ... }
+func (e *Entry) Run(from int) (lo, hi int) {
+	m := uint64(e.Mask)
+	if from >= LineSize || m>>uint(from) == 0 {
+		return LineSize, LineSize
 	}
+	lo = from + bits.TrailingZeros64(m>>uint(from))
+	hi = lo + bits.TrailingZeros64(^(m >> uint(lo)))
+	return lo, hi
 }
 
-// Sink disposes of one drained entry, blocking p for however long the
-// drain occupies the buffer slot (a local DRAM write, or injection of a
-// remote write/prefetch packet into the shell). e is the slot itself: it
-// is reused once Drain returns, so a sink that needs the entry later
-// keeps a copy.
+// Sink disposes of drained entries in two phases. BeginDrain starts
+// disposing of e (a local DRAM write, or injection of a remote
+// write/prefetch packet into the shell) and returns the time its buffer
+// slot frees; FinishDrain completes the drain at that time. Both run in
+// event context and must not block. e is the slot itself: it is reused
+// once FinishDrain returns, so a sink that needs the entry later keeps a
+// copy.
 type Sink interface {
-	Drain(p *sim.Proc, e *Entry)
+	BeginDrain(e *Entry) sim.Time
+	FinishDrain(e *Entry)
 }
 
-// Buffer is the write buffer of one node.
+// Buffer is the write buffer of one node. It drains by scheduled
+// callbacks, not by a proc: a push into an idle buffer schedules the
+// oldest entry's drain at the current time, a drain whose slot frees
+// later finishes at that time, and a finish that leaves entries starts
+// the next drain at once.
 type Buffer struct {
 	eng  *sim.Engine
 	sink Sink
@@ -82,45 +96,64 @@ type Buffer struct {
 	// oldest first.
 	slots   []Entry
 	head, n int
+	busy    bool        // the head entry's drain is scheduled or under way
 	changed *sim.Signal // fired on every push and pop
+
+	stepFn, finishFn func()
 
 	// Stats for probes and tests.
 	Pushes, Merges, FullStalls int64
 }
 
 // New returns a write buffer with the given number of slots, draining into
-// sink. Start must be called before the simulation runs.
+// sink.
 func New(eng *sim.Engine, capacity int, sink Sink) *Buffer {
 	if capacity <= 0 {
 		panic("wbuf: capacity must be positive")
 	}
-	return &Buffer{
+	b := &Buffer{
 		eng:     eng,
 		sink:    sink,
 		slots:   make([]Entry, capacity),
 		changed: sim.NewSignal("wbuf.changed"),
 	}
+	b.stepFn, b.finishFn = b.step, b.finish
+	return b
 }
 
-// Start spawns the drain daemon. Call exactly once.
-func (b *Buffer) Start(name string) {
-	b.eng.SpawnDaemon(name, b.drainLoop)
-}
-
-// drainLoop hands the oldest entry to the sink and pops it when Drain
-// returns.
-func (b *Buffer) drainLoop(p *sim.Proc) {
+// step drains from the head: it begins the oldest entry's drain and
+// finishes it inline while its slot frees at once, until a slot frees
+// later (then finish is scheduled for that time) or the buffer is empty.
+func (b *Buffer) step() {
 	for {
-		for b.n == 0 {
-			p.WaitSignal(b.changed)
-		}
 		e := &b.slots[b.head]
 		e.draining = true
-		b.sink.Drain(p, e)
-		b.head = (b.head + 1) % len(b.slots)
-		b.n--
-		b.changed.Fire(b.eng)
+		if free := b.sink.BeginDrain(e); free > b.eng.Now() {
+			b.eng.At(free, b.finishFn)
+			return
+		}
+		if !b.pop() {
+			return
+		}
 	}
+}
+
+// finish completes the drain that step scheduled and starts the next.
+func (b *Buffer) finish() {
+	if b.pop() {
+		b.step()
+	}
+}
+
+// pop completes the head entry's drain, frees its slot and reports
+// whether entries remain.
+func (b *Buffer) pop() bool {
+	b.sink.FinishDrain(&b.slots[b.head])
+	b.head = (b.head + 1) % len(b.slots)
+	b.n--
+	b.changed.Fire(b.eng)
+	b.busy = b.n > 0
+	return b.busy
 }
 
 // entry returns the i-th occupied slot, oldest first.
@@ -187,6 +220,10 @@ func (b *Buffer) pushSlot(p *sim.Proc, e Entry) {
 	}
 	*b.entry(b.n) = e
 	b.n++
+	if !b.busy { // an idle buffer starts draining now
+		b.busy = true
+		b.eng.At(b.eng.Now(), b.stepFn)
+	}
 	b.changed.Fire(b.eng)
 }
 

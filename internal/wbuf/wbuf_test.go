@@ -1,6 +1,7 @@
 package wbuf
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -10,6 +11,7 @@ import (
 // recordingSink drains each entry after a fixed delay and records the
 // order and time of drains.
 type recordingSink struct {
+	eng     *sim.Engine
 	delay   sim.Time
 	drained []drainRec
 }
@@ -19,17 +21,16 @@ type drainRec struct {
 	at sim.Time
 }
 
-func (s *recordingSink) Drain(p *sim.Proc, e *Entry) {
-	p.Wait(s.delay)
-	s.drained = append(s.drained, drainRec{*e, p.Now()})
+func (s *recordingSink) BeginDrain(e *Entry) sim.Time { return s.eng.Now() + s.delay }
+
+func (s *recordingSink) FinishDrain(e *Entry) {
+	s.drained = append(s.drained, drainRec{*e, s.eng.Now()})
 }
 
 func setup(delay sim.Time) (*sim.Engine, *Buffer, *recordingSink) {
 	eng := sim.NewEngine()
-	sink := &recordingSink{delay: delay}
-	b := New(eng, 4, sink)
-	b.Start("drain")
-	return eng, b, sink
+	sink := &recordingSink{eng: eng, delay: delay}
+	return eng, New(eng, 4, sink), sink
 }
 
 func TestMergeSameLine(t *testing.T) {
@@ -170,15 +171,27 @@ func TestFetchEntriesDoNotMerge(t *testing.T) {
 	}
 }
 
+// TestEntryBytes: an entry's valid bytes come out as maximal runs, in
+// ascending order.
 func TestEntryBytes(t *testing.T) {
-	e := &Entry{Kind: KindWrite, LineAddr: 0x200}
-	e.Data[4] = 0xAA
-	e.Data[9] = 0xBB
-	e.Mask = 1<<4 | 1<<9
-	var got []int64
-	e.Bytes(func(addr int64, v byte) { got = append(got, addr) })
-	if len(got) != 2 || got[0] != 0x204 || got[1] != 0x209 {
-		t.Errorf("Bytes visited %v", got)
+	for _, tc := range []struct {
+		mask uint32
+		want [][2]int
+	}{
+		{0, nil},
+		{1<<4 | 1<<9, [][2]int{{4, 5}, {9, 10}}},
+		{0xFF00FF00, [][2]int{{8, 16}, {24, 32}}},
+		{0xFFFFFFFF, [][2]int{{0, 32}}},
+		{0x80000001, [][2]int{{0, 1}, {31, 32}}},
+	} {
+		e := &Entry{Kind: KindWrite, Mask: tc.mask}
+		var got [][2]int
+		for lo, hi := e.Run(0); lo < hi; lo, hi = e.Run(hi) {
+			got = append(got, [2]int{lo, hi})
+		}
+		if fmt.Sprint(got) != fmt.Sprint(tc.want) {
+			t.Errorf("mask %#x: runs %v, want %v", tc.mask, got, tc.want)
+		}
 	}
 }
 
@@ -199,10 +212,7 @@ func TestPropertyMergedBytesMatchProgramOrder(t *testing.T) {
 	// Property: for any sequence of single-byte stores into one line,
 	// the drained entry holds the last value written per offset.
 	f := func(writes []uint8) bool {
-		eng := sim.NewEngine()
-		sink := &recordingSink{delay: 1}
-		b := New(eng, 4, sink)
-		b.Start("drain")
+		eng, b, sink := setup(1)
 		want := map[int64]byte{}
 		eng.Spawn("cpu", func(p *sim.Proc) {
 			for i, w := range writes {
@@ -217,7 +227,11 @@ func TestPropertyMergedBytesMatchProgramOrder(t *testing.T) {
 		got := map[int64]byte{}
 		for _, rec := range sink.drained {
 			e := rec.e
-			e.Bytes(func(a int64, v byte) { got[a] = v })
+			for lo, hi := e.Run(0); lo < hi; lo, hi = e.Run(hi) {
+				for i := lo; i < hi; i++ {
+					got[e.LineAddr+int64(i)] = e.Data[i]
+				}
+			}
 		}
 		if len(got) != len(want) {
 			return false
@@ -231,5 +245,39 @@ func TestPropertyMergedBytesMatchProgramOrder(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestDrainIsEventDriven pins the drain's events: a push into an idle
+// buffer schedules one drain step, a slot that frees later schedules
+// one finish, and a slot that frees at once finishes inline, as does
+// the next entry's drain after a finish.
+func TestDrainIsEventDriven(t *testing.T) {
+	for _, tc := range []struct {
+		delay  sim.Time
+		events int64 // the proc's start, one step, then one finish per entry if delay > 0
+	}{
+		{delay: 10, events: 1 + 1 + 3},
+		{delay: 0, events: 1 + 1},
+	} {
+		eng, b, sink := setup(tc.delay)
+		eng.Spawn("cpu", func(p *sim.Proc) {
+			for i := 0; i < 3; i++ {
+				b.PushWrite(p, int64(i)*64, []byte{byte(i)})
+			}
+		})
+		eng.Run()
+		if len(sink.drained) != 3 || !b.Empty() {
+			t.Fatalf("delay %d: drained %d entries, buffer empty %v", tc.delay, len(sink.drained), b.Empty())
+		}
+		for i, rec := range sink.drained {
+			if want := sim.Time(i+1) * tc.delay; rec.at != want || rec.e.LineAddr != int64(i)*64 {
+				t.Errorf("delay %d: drain %d = line %#x at t=%d, want %#x at t=%d",
+					tc.delay, i, rec.e.LineAddr, rec.at, i*64, want)
+			}
+		}
+		if got := eng.Events(); got != tc.events {
+			t.Errorf("delay %d: %d events, want %d", tc.delay, got, tc.events)
+		}
 	}
 }
