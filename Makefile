@@ -38,8 +38,11 @@ chaos:
 # slot-classification, ack-control, and poison-wire fuzzers, which must
 # never find a way for corrupted headers, sequence numbers, expiry
 # stamps, congestion-echo bits, or poison verdicts to panic, mis-ack,
-# inflate a window, or launder poisoned data into a clean ack.
+# inflate a window, or launder poisoned data into a clean ack. The event
+# heap fuzzer checks the kernel's firing order against a reference sort
+# by (time, schedule order).
 fuzz:
+	$(GO) test ./internal/sim -run '^$$' -fuzz FuzzEventHeap -fuzztime 10s
 	$(GO) test ./internal/am -run '^$$' -fuzz FuzzClassifySlot -fuzztime 10s
 	$(GO) test ./internal/am -run '^$$' -fuzz FuzzAckControl -fuzztime 10s
 	$(GO) test ./internal/am -run '^$$' -fuzz FuzzPoisonWire -fuzztime 10s

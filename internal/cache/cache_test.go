@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"bytes"
 	"encoding/binary"
 	"testing"
 	"testing/quick"
@@ -189,21 +190,58 @@ func TestPropertyLineAddrAligned(t *testing.T) {
 	}
 }
 
-// TestNewAllocatesOneBackingArray pins cache.New's allocations: one
-// array for the lines and one for their data, not two slices per set.
-// Each line's data is capped at its own end.
+// TestNewAllocatesOneBackingArray pins cache.New's allocations: the
+// cache, one array for every line and one for all their data. Every
+// line's bytes sit beside the next line's in that one array, so a Fill
+// or a WriteData that ends at a line's last byte must leave every other
+// line as it was, whatever the associativity.
 func TestNewAllocatesOneBackingArray(t *testing.T) {
-	if n := testing.AllocsPerRun(10, func() { New(T3DL1Config()) }); n > 4 {
-		t.Errorf("New(T3DL1Config()) = %v allocations, want at most 4", n)
+	if n := testing.AllocsPerRun(10, func() { New(T3DL1Config()) }); n > 3 {
+		t.Errorf("New(T3DL1Config()) = %v allocations, want at most 3", n)
 	}
-	c := New(Config{Size: 1 << 10, LineSize: 32, Assoc: 2})
-	for _, set := range c.sets {
-		if cap(set) != 2 {
-			t.Fatalf("set capacity %d, want 2", cap(set))
+	for _, assoc := range []int{1, 2, 4} {
+		c := New(Config{Size: 1 << 10, LineSize: 32, Assoc: assoc})
+		n := c.Config().Size / c.Config().LineSize
+		contents := func() [][]byte { // every line's bytes, by address
+			out := make([][]byte, n)
+			for k := range out {
+				out[k] = make([]byte, 32)
+				c.ReadData(int64(k)*32, out[k])
+			}
+			return out
 		}
-		for _, l := range set {
-			if cap(l.data) != 32 {
-				t.Fatalf("line data capacity %d, want 32", cap(l.data))
+		for k := int64(0); k < n; k++ {
+			c.Fill(k*32, lineOf(c, byte(k)))
+		}
+		if r := c.ResidentLines(); r != int(n) {
+			t.Fatalf("%d-way: %d lines resident after filling %d", assoc, r, n)
+		}
+		check := func(before, after [][]byte, k int64, what string) {
+			t.Helper()
+			for j := range after {
+				if int64(j) != k && !bytes.Equal(after[j], before[j]) {
+					t.Fatalf("%d-way: %s line %d changed line %d: %x -> %x", assoc, what, k, j, before[j], after[j])
+				}
+			}
+		}
+		tail := bytes.Repeat([]byte{0xee}, 8)
+		for k := int64(0); k < n; k++ {
+			before := contents()
+			if !c.WriteData(k*32+24, tail) {
+				t.Fatalf("%d-way: line %d not resident", assoc, k)
+			}
+			after := contents()
+			check(before, after, k, "WriteData to the end of")
+			if !bytes.Equal(after[k][24:], tail) || !bytes.Equal(after[k][:24], before[k][:24]) {
+				t.Fatalf("%d-way: line %d after WriteData = %x", assoc, k, after[k])
+			}
+
+			c.Invalidate(k * 32) // so the Fill takes this line's slot
+			c.Fill(k*32, lineOf(c, byte(0x80|k)))
+			before, after = after, contents()
+			check(before, after, k, "Fill of")
+			if !bytes.Equal(after[k], lineOf(c, byte(0x80|k))) {
+				t.Fatalf("%d-way: line %d after Fill = %x", assoc, k, after[k])
 			}
 		}
 	}

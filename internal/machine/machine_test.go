@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/addr"
@@ -122,4 +123,31 @@ func TestNewCheckedRejectsL1LineSize(t *testing.T) {
 			t.Errorf("%d-byte L1 lines accepted", ls)
 		}
 	}
+}
+
+// TestBuildIsSmall pins the host cost of a 2-PE DefaultConfig build,
+// which every probe point pays: each PE's DRAM page table starts empty,
+// its L1 is two pointer-free arrays, and the signals live inside their
+// owners, so a build is about 37 KiB in 50 objects.
+func TestBuildIsSmall(t *testing.T) {
+	cfg := DefaultConfig(2)
+	build := func() {
+		if _, err := NewChecked(cfg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	build()
+	allocs := testing.AllocsPerRun(20, build)
+	const builds = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < builds; i++ {
+		build()
+	}
+	runtime.ReadMemStats(&after)
+	bytes := (after.TotalAlloc - before.TotalAlloc) / builds
+	if allocs > 56 || bytes > 48<<10 {
+		t.Errorf("a 2-PE build allocates %v objects and %d B, want at most 56 and %d", allocs, bytes, 48<<10)
+	}
+	t.Logf("a 2-PE build: %v allocations, %d B", allocs, bytes)
 }

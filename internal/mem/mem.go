@@ -14,9 +14,10 @@
 // the paper's correctness hazards (stale reads past the write buffer,
 // incoherent cached remote data) and not just its timing curves. The
 // bytes live in 4 KiB pages allocated on first write; a page never
-// written reads as zero, so a machine costs host memory, and a snapshot
-// of it costs copying, only for what its programs touch. Timing never
-// looks at the data.
+// written reads as zero, and the page table grows only to the highest
+// page written, so a machine costs host memory, and a snapshot of it
+// costs copying, only for what its programs touch. Timing never looks
+// at the data.
 package mem
 
 import (
@@ -113,8 +114,10 @@ type page [PageSize]byte
 
 // DRAM is a banked page-mode memory holding real data.
 type DRAM struct {
-	cfg   Config
-	pages []*page // one slot per PageSize bytes; nil reads as zero
+	cfg Config
+	// pages holds one slot per PageSize bytes up to the highest page
+	// written; a nil slot, or a page past the end, reads as zero.
+	pages []*page
 	banks []bank
 
 	// SECDED state (ecc.go): the fault table maps word-aligned offsets
@@ -139,11 +142,7 @@ func New(cfg Config) *DRAM {
 	if cfg.Size%(cfg.RowSize*int64(cfg.Banks)) != 0 {
 		panic(fmt.Sprintf("mem: size %d not a multiple of RowSize*Banks", cfg.Size))
 	}
-	d := &DRAM{
-		cfg:   cfg,
-		pages: make([]*page, (cfg.Size+pageMask)>>pageShift),
-		banks: make([]bank, cfg.Banks),
-	}
+	d := &DRAM{cfg: cfg, banks: make([]bank, cfg.Banks)}
 	for i := range d.banks {
 		d.banks[i].openRow = -1
 	}
@@ -198,10 +197,11 @@ func (d *DRAM) Snapshot(img *Image) {
 	}
 }
 
-// Restore makes memory hold exactly img: its pages are copied in and
-// every page it does not list goes back to unallocated. Every latent
-// fault is overwritten with it — the property that lets a rollback
-// clear poison the same way it clears any other corruption.
+// Restore makes memory hold exactly img: its pages are copied in, into
+// the pages memory already holds where it can, and every page it does
+// not list goes back to unallocated. Every latent fault is overwritten
+// with it — the property that lets a rollback clear poison the same way
+// it clears any other corruption.
 func (d *DRAM) Restore(img *Image) {
 	if img.Size != d.cfg.Size {
 		panic(fmt.Sprintf("mem: Restore image of a %d-byte memory into %d bytes", img.Size, d.cfg.Size))
@@ -212,11 +212,13 @@ func (d *DRAM) Restore(img *Image) {
 	next := 0
 	for i := range d.pages {
 		if next < len(img.Pages) && img.Pages[next] == i {
-			copy(d.pageAt(int64(i) * PageSize)[:], img.Data[next*PageSize:])
 			next++
 		} else {
 			d.pages[i] = nil
 		}
+	}
+	for k, pg := range img.Pages {
+		copy(d.pageAt(int64(pg) * PageSize)[:], img.Data[k*PageSize:])
 	}
 	d.clearAllFaults()
 }
@@ -352,15 +354,28 @@ func (d *DRAM) checkRange(addr int64, n int) {
 	}
 }
 
-// pageAt returns the page holding addr, allocating it on first touch.
-// Only write paths call it.
+// pageAt returns the page holding addr, allocating it on first touch
+// and growing the table to reach it. Only write paths call it.
 func (d *DRAM) pageAt(addr int64) *page {
-	pg := d.pages[addr>>pageShift]
+	i := int(addr >> pageShift)
+	if i >= len(d.pages) {
+		d.pages = append(d.pages, make([]*page, i+1-len(d.pages))...)
+	}
+	pg := d.pages[i]
 	if pg == nil {
 		pg = new(page)
-		d.pages[addr>>pageShift] = pg
+		d.pages[i] = pg
 	}
 	return pg
+}
+
+// present returns the page holding addr, or nil if it is missing. Read
+// paths call it, so a read never allocates or grows the table.
+func (d *DRAM) present(addr int64) *page {
+	if i := addr >> pageShift; i < int64(len(d.pages)) {
+		return d.pages[i]
+	}
+	return nil
 }
 
 // copyOut copies memory starting at addr into p, page by page; a
@@ -369,7 +384,7 @@ func (d *DRAM) copyOut(addr int64, p []byte) {
 	for len(p) > 0 {
 		off := addr & pageMask
 		var n int
-		if pg := d.pages[addr>>pageShift]; pg != nil {
+		if pg := d.present(addr); pg != nil {
 			n = copy(p, pg[off:])
 		} else {
 			n = min(len(p), int(PageSize-off))
@@ -394,7 +409,7 @@ func (d *DRAM) copyIn(addr int64, p []byte) {
 // address) goes through a byte copy.
 func (d *DRAM) load64(addr int64) uint64 {
 	if off := addr & pageMask; off <= PageSize-8 {
-		if pg := d.pages[addr>>pageShift]; pg != nil {
+		if pg := d.present(addr); pg != nil {
 			return binary.LittleEndian.Uint64(pg[off:])
 		}
 		return 0

@@ -88,10 +88,8 @@ func within(addr, n int64) (ws []int64) {
 // populate allocates every missing page: a DRAM with no missing page
 // runs only the present-page paths, the dense control for the sparse one.
 func populate(d *DRAM) {
-	for i, pg := range d.pages {
-		if pg == nil {
-			d.pages[i] = new(page)
-		}
+	for a := int64(0); a < d.Size(); a += PageSize {
+		d.pageAt(a)
 	}
 }
 
@@ -405,5 +403,89 @@ func TestSnapshotIntoReusedImageDoesNotAllocate(t *testing.T) {
 	}
 	if !slices.Equal(img.Pages, written) || len(img.Data) != len(written)*PageSize {
 		t.Errorf("image lists pages %v in %d bytes, want %v in %d", img.Pages, len(img.Data), written, len(written)*PageSize)
+	}
+}
+
+// TestReadPastHighestPageIsZero reads beyond the highest page written,
+// through every read path, straddling the table's end: the bytes read
+// as zero and the page table neither grows nor gains a page.
+func TestReadPastHighestPageIsZero(t *testing.T) {
+	d := New(T3DNodeConfig(16 << 20))
+	d.SetECC(true)
+	d.Write64(3*PageSize+8, 0xfeed)
+	table, present := len(d.pages), presentPages(d)
+	if table != 4 {
+		t.Fatalf("page table holds %d slots after a write to page 3, want 4", table)
+	}
+	buf := make([]byte, 16)
+	d.Read(4*PageSize-8, buf) // the last word of page 3 and the first of page 4
+	if slices.ContainsFunc(buf, func(b byte) bool { return b != 0 }) {
+		t.Errorf("read across the table's end = %x, want zeros", buf)
+	}
+	if _, poisoned := d.ReadChecked(100*PageSize, buf); poisoned != nil || slices.ContainsFunc(buf, func(b byte) bool { return b != 0 }) {
+		t.Errorf("ReadChecked past the table = %x, poisoned %v; want zeros", buf, poisoned)
+	}
+	for _, a := range []int64{4 * PageSize, 4*PageSize - 4, 4095 * PageSize, d.Size() - 8} {
+		if v := d.Read64(a); v != 0 {
+			t.Errorf("Read64(%#x) = %#x, want 0", a, v)
+		}
+		if v, _, poisoned := d.Read64Checked(a); v != 0 || poisoned {
+			t.Errorf("Read64Checked(%#x) = %#x, poisoned %v; want 0", a, v, poisoned)
+		}
+	}
+	if d.Read64(3*PageSize+8) != 0xfeed {
+		t.Error("the written word did not read back")
+	}
+	if len(d.pages) != table || presentPages(d) != present {
+		t.Errorf("reads grew the table %d -> %d slots, %d -> %d pages", table, len(d.pages), present, presentPages(d))
+	}
+}
+
+// TestRestoreAcrossTableLengths restores an image whose pages lie
+// beyond the current page table, and one into a table longer than the
+// image: either way memory then holds exactly the image.
+func TestRestoreAcrossTableLengths(t *testing.T) {
+	const size = 16 << 20
+	image := func(pages ...int) *Image {
+		d := New(T3DNodeConfig(size))
+		for _, pg := range pages {
+			d.Write64(int64(pg)*PageSize+16, uint64(pg)<<8|0xa5)
+		}
+		var img Image
+		d.Snapshot(&img)
+		return &img
+	}
+
+	short := New(T3DNodeConfig(size))
+	short.Write64(0, 1)
+	checkRoundTrip(t, short, image(2, 900, 4095), "image past the table")
+
+	long := New(T3DNodeConfig(size))
+	for _, pg := range []int{0, 7, 3000, 4000} {
+		long.Write64(int64(pg)*PageSize, 2)
+	}
+	checkRoundTrip(t, long, image(1, 5), "table past the image")
+	for _, a := range []int64{0, 7 * PageSize, 3000 * PageSize, 4000 * PageSize} {
+		if v := long.Read64(a); v != 0 {
+			t.Errorf("after restoring a shorter image, Read64(%#x) = %#x, want 0", a, v)
+		}
+	}
+}
+
+// TestZeroedMemoryReadsZero writes pages low and high, zeroes memory,
+// and reads every byte back: all zeros, and no page left.
+func TestZeroedMemoryReadsZero(t *testing.T) {
+	d := New(T3DNodeConfig(1 << 20))
+	for _, pg := range []int{0, 1, 100, 254} {
+		d.Write(int64(pg)*PageSize+PageSize/2, bytes.Repeat([]byte{0xff}, PageSize))
+	}
+	d.Zero()
+	buf := make([]byte, d.Size())
+	d.Read(0, buf)
+	if i := slices.IndexFunc(buf, func(b byte) bool { return b != 0 }); i >= 0 {
+		t.Errorf("after Zero, byte %#x reads %#x", i, buf[i])
+	}
+	if n := presentPages(d); n != 0 {
+		t.Errorf("%d pages present after Zero", n)
 	}
 }

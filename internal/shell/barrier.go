@@ -17,7 +17,7 @@ type Barrier struct {
 	gen     int64 // completed generations
 	arming  int64 // generation currently collecting arms
 	armed   int
-	highSig *sim.Signal
+	highSig sim.Signal
 	raiseFn func() // b.raise, built once and scheduled every generation
 
 	// Crossings counts completed barrier generations.
@@ -29,13 +29,8 @@ type BarrierTicket struct{ gen int64 }
 
 // NewBarrier builds a barrier spanning n nodes.
 func NewBarrier(eng *sim.Engine, n int, armCost, propDelay sim.Time) *Barrier {
-	b := &Barrier{
-		eng:     eng,
-		n:       n,
-		arm:     armCost,
-		prop:    propDelay,
-		highSig: sim.NewSignal("barrier.high"),
-	}
+	b := &Barrier{eng: eng, n: n, arm: armCost, prop: propDelay}
+	b.highSig.SetName("barrier.high")
 	b.raiseFn = b.raise
 	return b
 }
@@ -66,7 +61,7 @@ func (b *Barrier) raise() {
 
 // Wait blocks until the wire has gone high for the ticket's generation.
 func (b *Barrier) Wait(p *sim.Proc, t BarrierTicket) {
-	sim.Await(p, b.highSig, func() bool { return b.gen > t.gen })
+	sim.Await(p, &b.highSig, func() bool { return b.gen > t.gen })
 }
 
 // Done reports (without blocking) whether the wire has gone high for the
@@ -91,7 +86,7 @@ type Eureka struct {
 	prop sim.Time
 
 	high    bool
-	highSig *sim.Signal
+	highSig sim.Signal
 
 	// Triggers counts Trigger calls (several nodes may fire together).
 	Triggers int64
@@ -100,7 +95,9 @@ type Eureka struct {
 // NewEureka builds a global-OR wire. pollCost is the cost of sampling
 // the local wire state; propDelay the wire propagation after a trigger.
 func NewEureka(eng *sim.Engine, pollCost, propDelay sim.Time) *Eureka {
-	return &Eureka{eng: eng, poll: pollCost, prop: propDelay, highSig: sim.NewSignal("eureka")}
+	e := &Eureka{eng: eng, poll: pollCost, prop: propDelay}
+	e.highSig.SetName("eureka")
+	return e
 }
 
 // Trigger drives the wire high; it reaches every node after the
@@ -124,7 +121,7 @@ func (e *Eureka) Poll(p *sim.Proc) bool {
 
 // WaitHigh blocks until the wire is high.
 func (e *Eureka) WaitHigh(p *sim.Proc) {
-	sim.Await(p, e.highSig, func() bool { return e.high })
+	sim.Await(p, &e.highSig, func() bool { return e.high })
 }
 
 // Reset lowers the wire for reuse; callers must synchronize (a barrier)

@@ -138,7 +138,7 @@ func (s *Shell) bltStart(p *sim.Proc, dir BLTDir, peer int, localOff, remoteOff,
 // trap cannot read the damage silently.
 func (s *Shell) BLTWait(p *sim.Proc) {
 	for s.bltBusy {
-		p.WaitSignal(s.bltSig)
+		p.WaitSignal(&s.bltSig)
 	}
 	if s.bltPoison {
 		a := s.bltPoisonAddr
@@ -152,7 +152,7 @@ func (s *Shell) BLTWait(p *sim.Proc) {
 // being rolled back anyway.
 func (s *Shell) BLTDiscard(p *sim.Proc) {
 	for s.bltBusy {
-		p.WaitSignal(s.bltSig)
+		p.WaitSignal(&s.bltSig)
 	}
 	s.bltPoison = false
 }

@@ -72,7 +72,7 @@ func (s *Shell) PollMessage(p *sim.Proc) (Message, bool) {
 
 // WaitMessage blocks until a message is available and returns it.
 func (s *Shell) WaitMessage(p *sim.Proc) Message {
-	sim.Await(p, s.msgSig, func() bool { return len(s.msgs) > 0 })
+	sim.Await(p, &s.msgSig, func() bool { return len(s.msgs) > 0 })
 	m, ok := s.PollMessage(p)
 	if !ok {
 		panic("shell: WaitMessage raced the queue")

@@ -62,18 +62,18 @@ func (f *Fabric) AddNode(dram *mem.DRAM, l1 *cache.Cache) *Shell {
 		panic("shell: more nodes than the network has")
 	}
 	s := &Shell{
-		eng:          f.Eng,
-		cfg:          &f.Cfg,
-		fab:          f,
-		pe:           pe,
-		writeChanged: sim.NewSignal(fmt.Sprintf("shell%d.writeAck", pe)),
-		pqSig:        sim.NewSignal(fmt.Sprintf("shell%d.prefetch", pe)),
-		msgSig:       sim.NewSignal(fmt.Sprintf("shell%d.msg", pe)),
-		bltSig:       sim.NewSignal(fmt.Sprintf("shell%d.blt", pe)),
-		arrival:      sim.NewSignal(fmt.Sprintf("shell%d.arrival", pe)),
-		cePending:    make([]bool, f.Net.Nodes()),
-		pq:           make([]pqSlot, f.Cfg.PrefetchEntries),
+		eng:       f.Eng,
+		cfg:       &f.Cfg,
+		fab:       f,
+		pe:        pe,
+		cePending: make([]bool, f.Net.Nodes()),
+		pq:        make([]pqSlot, f.Cfg.PrefetchEntries),
 	}
+	s.writeChanged.SetNamef("shell%d.writeAck", pe)
+	s.pqSig.SetNamef("shell%d.prefetch", pe)
+	s.msgSig.SetNamef("shell%d.msg", pe)
+	s.bltSig.SetNamef("shell%d.blt", pe)
+	s.arrival.SetNamef("shell%d.arrival", pe)
 	s.annex[addr.LocalAnnex] = AnnexEntry{PE: pe}
 	f.Nodes = append(f.Nodes, &Node{PE: pe, DRAM: dram, L1: l1, Shell: s})
 	return s
@@ -105,13 +105,13 @@ type Shell struct {
 	drainSlot *pqSlot
 
 	outstandingWrites int
-	writeChanged      *sim.Signal
+	writeChanged      sim.Signal
 
 	// pq is the prefetch FIFO, a ring of PrefetchEntries slots: pqLen
 	// outstanding prefetches from pqHead on.
 	pq            []pqSlot
 	pqHead, pqLen int
-	pqSig         *sim.Signal
+	pqSig         sim.Signal
 
 	// Recycled transaction records (tx.go).
 	freeReads   *readTx
@@ -121,7 +121,7 @@ type Shell struct {
 	// arrival fires whenever a remote write lands in this node's memory —
 	// the event a polling receiver's cache-invalidate would surface. The
 	// reliable active-message layer parks on it between retransmissions.
-	arrival *sim.Signal
+	arrival sim.Signal
 
 	fi      [2]uint64
 	swapReg uint64
@@ -129,12 +129,12 @@ type Shell struct {
 	stolen sim.Time
 
 	msgs     []Message
-	msgSig   *sim.Signal
+	msgSig   sim.Signal
 	handler  func(p *sim.Proc, m Message)
 	intrPort sim.Resource // serializes receive interrupts on this CPU
 
 	bltBusy bool
-	bltSig  *sim.Signal
+	bltSig  sim.Signal
 	// bltPoison latches that a completed BLT transfer moved at least one
 	// uncorrectable word since the last BLTWait/BLTDiscard; bltPoisonAddr
 	// is the first such source word.
@@ -237,7 +237,7 @@ func (s *Shell) Steal(d sim.Time) {
 // memory. A polling receiver can park on it with WaitSignalTimeout
 // instead of burning cycles in an idle poll loop; the reliable
 // active-message layer uses it to pace retransmission timeouts.
-func (s *Shell) ArrivalSignal() *sim.Signal { return s.arrival }
+func (s *Shell) ArrivalSignal() *sim.Signal { return &s.arrival }
 
 // noteCongestion latches that a marked data packet from src arrived.
 func (s *Shell) noteCongestion(src int) {
@@ -308,7 +308,7 @@ func (s *Shell) ReadWord(p *sim.Proc, pa int64, size int) uint64 {
 	s.RemoteReads++
 	p.Wait(s.cfg.IssueExtra)
 	tx := s.getRead(e.PE, off, size)
-	tx.done = tx.wordDone
+	tx.done = &tx.wordDone
 	s.afterInject(&s.reqPort, s.cfg.ReqInject, tx.sendFn)
 	p.WaitSignal(tx.done)
 	val, poisoned := tx.val, tx.poisoned
@@ -335,7 +335,7 @@ func (s *Shell) ReadLine(p *sim.Proc, pa int64, line []byte) {
 	s.RemoteReads++
 	p.Wait(s.cfg.IssueExtra)
 	tx := s.getRead(e.PE, off, len(line))
-	tx.done = tx.lineDone
+	tx.done = &tx.lineDone
 	s.afterInject(&s.reqPort, s.cfg.ReqInject, tx.sendFn)
 	p.WaitSignal(tx.done)
 	p.Wait(s.cfg.RespAccept + s.cfg.CachedFillExtra)
@@ -448,7 +448,7 @@ func (s *Shell) DiscardPrefetches(p *sim.Proc) {
 func (s *Shell) popPrefetch(p *sim.Proc) pqSlot {
 	head := &s.pq[s.pqHead]
 	for !head.filled {
-		p.WaitSignal(s.pqSig)
+		p.WaitSignal(&s.pqSig)
 	}
 	p.Wait(s.cfg.PopCost)
 	s.pqHead = (s.pqHead + 1) % len(s.pq)
@@ -486,7 +486,7 @@ func (s *Shell) FetchInc(p *sim.Proc, pe, reg int) uint64 {
 	s.checkReachable(pe)
 	p.Wait(s.cfg.IssueExtra)
 	tx := s.getAtomic(pe)
-	tx.swap, tx.reg, tx.done = false, reg, tx.fiDone
+	tx.swap, tx.reg, tx.done = false, reg, &tx.fiDone
 	s.afterInject(&s.reqPort, s.cfg.ReqInject, tx.sendFn)
 	p.WaitSignal(tx.done)
 	val := tx.val
@@ -511,7 +511,7 @@ func (s *Shell) Swap(p *sim.Proc, pa int64, v uint64) uint64 {
 	off := addr.Offset(pa)
 	p.Wait(s.cfg.IssueExtra)
 	tx := s.getAtomic(ae.PE)
-	tx.swap, tx.off, tx.in, tx.done = true, off, v, tx.swapDone
+	tx.swap, tx.off, tx.in, tx.done = true, off, v, &tx.swapDone
 	s.afterInject(&s.reqPort, s.cfg.ReqInject, tx.sendFn)
 	p.WaitSignal(tx.done)
 	old, poisoned := tx.val, tx.poisoned

@@ -49,7 +49,7 @@ type readTx struct {
 	// fills its FIFO slot instead.
 	done               *sim.Signal
 	slot               *pqSlot
-	wordDone, lineDone *sim.Signal
+	wordDone, lineDone sim.Signal
 
 	sendFn, serveFn, latchFn, completeFn, respondFn, replyFn, arriveFn, fillFn func()
 	next                                                                       *readTx
@@ -73,7 +73,9 @@ func (s *Shell) getRead(pe int, off int64, size int) *readTx {
 }
 
 func (s *Shell) newReadTx() *readTx {
-	tx := &readTx{s: s, wordDone: sim.NewSignal("readword"), lineDone: sim.NewSignal("readline")}
+	tx := &readTx{s: s}
+	tx.wordDone.SetName("readword")
+	tx.lineDone.SetName("readline")
 	tx.sendFn, tx.serveFn, tx.latchFn = tx.send, tx.serve, tx.latch
 	tx.completeFn, tx.respondFn, tx.replyFn = tx.complete, tx.respond, tx.reply
 	tx.arriveFn, tx.fillFn = tx.arrive, tx.fill
@@ -273,7 +275,7 @@ type atomicTx struct {
 
 	// done is fiDone or swapDone (the deadlock dump's label).
 	done             *sim.Signal
-	fiDone, swapDone *sim.Signal
+	fiDone, swapDone sim.Signal
 
 	sendFn, serveFn, accessFn, replyFn, arriveFn func()
 	next                                         *atomicTx
@@ -296,7 +298,9 @@ func (s *Shell) getAtomic(pe int) *atomicTx {
 }
 
 func (s *Shell) newAtomicTx() *atomicTx {
-	tx := &atomicTx{s: s, fiDone: sim.NewSignal("fi"), swapDone: sim.NewSignal("swap")}
+	tx := &atomicTx{s: s}
+	tx.fiDone.SetName("fi")
+	tx.swapDone.SetName("swap")
 	tx.sendFn, tx.serveFn, tx.accessFn = tx.send, tx.serve, tx.access
 	tx.replyFn, tx.arriveFn = tx.reply, tx.arrive
 	return tx

@@ -19,67 +19,78 @@ type event struct {
 	epoch uint64 // wakeup generation; stale if != proc.epoch
 }
 
-// before reports whether ev fires ahead of o: earlier time first, then
-// schedule order.
-func (ev *event) before(o *event) bool {
-	return ev.at < o.at || ev.at == o.at && ev.seq < o.seq
+// before reports whether ev fires ahead of an event at (at, seq):
+// earlier time first, then schedule order.
+func (ev *event) before(at Time, seq uint64) bool {
+	return ev.at < at || ev.at == at && ev.seq < seq
+}
+
+// move copies o into ev a word at a time.
+func (ev *event) move(o *event) {
+	ev.at, ev.seq, ev.fn, ev.proc, ev.epoch = o.at, o.seq, o.fn, o.proc, o.epoch
 }
 
 // eventHeap is a binary min-heap of events by value, ordered by
-// (at, seq).
+// (at, seq). Events move in place and a word at a time: push writes a
+// new event's fields into the slot where its sift-up stops, the event
+// loop reads the top's fields through &events[0] before pop removes it,
+// and the sifts copy with move. A whole 40-byte event, returned in
+// registers or copied as a struct, is stored 8 bytes at a time and
+// loaded 16 at a time, and a load that spans two recent stores cannot
+// be forwarded from them: it stalls until they retire.
 type eventHeap []event
 
-// push adds ev, sifting it up from the new last slot.
+// push adds an event, sifting it up from the new last slot: each
+// parent that fires after it moves down one level.
 //
 //t3d:hotpath
-func (h *eventHeap) push(ev event) {
+func (h *eventHeap) push(at Time, seq uint64, fn func(), p *Proc, epoch uint64) {
 	//lint:allow hotalloc the heap's backing array grows amortized-O(1) and is reused across the run; per-event cost is a slot store
-	q := append(*h, ev)
+	q := append(*h, event{})
 	i := len(q) - 1
 	for i > 0 {
 		up := (i - 1) / 2
-		if !ev.before(&q[up]) {
+		if q[up].before(at, seq) {
 			break
 		}
-		q[i] = q[up]
+		q[i].move(&q[up])
 		i = up
 	}
-	q[i] = ev
+	ev := &q[i]
+	ev.at, ev.seq, ev.fn, ev.proc, ev.epoch = at, seq, fn, p, epoch
 	*h = q
 }
 
-// pop removes and returns the earliest event. The heap must not be
-// empty.
+// pop removes the earliest event, which the caller has already read in
+// place at (*h)[0]. The heap must not be empty.
 //
 //t3d:hotpath
-func (h *eventHeap) pop() event {
+func (h *eventHeap) pop() {
 	q := *h
-	top := q[0]
 	n := len(q) - 1
-	last := q[n]
+	if n > 0 {
+		// Sift the last event down from the root, moving the earlier
+		// child up at each level, and store it where it stops.
+		last := &q[n]
+		i := 0
+		for {
+			c := 2*i + 1
+			if c >= n {
+				break
+			}
+			if c+1 < n && q[c+1].before(q[c].at, q[c].seq) {
+				c++
+			}
+			if !q[c].before(last.at, last.seq) {
+				break
+			}
+			q[i].move(&q[c])
+			i = c
+		}
+		q[i].move(last)
+	}
 	q[n] = event{} // drop the closure and proc references
-	q = q[:n]
-	*h = q
-	if n == 0 {
-		return top
-	}
-	i := 0
-	for {
-		c := 2*i + 1
-		if c >= n {
-			break
-		}
-		if c+1 < n && q[c+1].before(&q[c]) {
-			c++
-		}
-		if !q[c].before(&last) {
-			break
-		}
-		q[i] = q[c]
-		i = c
-	}
-	q[i] = last
-	return top
+	*h = q[:n]
 }
 
 // Engine is a discrete-event simulator. The zero value is not usable;
@@ -152,7 +163,7 @@ func (e *Engine) At(t Time, fn func()) {
 		panic(fmt.Sprintf("sim: At(%d) is in the past (now=%d)", t, e.now))
 	}
 	e.seq++
-	e.events.push(event{at: t, seq: e.seq, fn: fn})
+	e.events.push(t, e.seq, fn, nil, 0)
 }
 
 // After schedules fn to run d cycles from now.
@@ -166,7 +177,7 @@ func (e *Engine) After(d Time, fn func()) { e.At(e.now+d, fn) }
 //t3d:hotpath
 func (e *Engine) scheduleEpoch(p *Proc, t Time, epoch uint64) {
 	e.seq++
-	e.events.push(event{at: t, seq: e.seq, proc: p, epoch: epoch})
+	e.events.push(t, e.seq, nil, p, epoch)
 }
 
 // BlockedProc is one entry of a deadlock diagnostic: a proc that can
@@ -346,7 +357,7 @@ func (e *Engine) RunErr() (Time, error) {
 	var stuck []BlockedProc
 	for _, p := range e.procs {
 		if p.state == procBlocked && !p.daemon {
-			stuck = append(stuck, BlockedProc{Name: p.name, Waiting: p.waitLabel, Since: p.blockedSince})
+			stuck = append(stuck, BlockedProc{Name: p.name, Waiting: p.waitingOn.Name(), Since: p.blockedSince})
 		}
 	}
 	if len(stuck) > 0 {
@@ -376,16 +387,18 @@ func (e *Engine) dispatch() (next *Proc) {
 				}
 			}
 		}
-		ev := e.events.pop()
+		ev := &e.events[0]
+		at, fn, p, epoch := ev.at, ev.fn, ev.proc, ev.epoch
+		e.events.pop()
 		e.processed++
-		if e.Limit > 0 && ev.at > e.Limit {
-			e.stop, e.stopAt = stopLimit, ev.at
+		if e.Limit > 0 && at > e.Limit {
+			e.stop, e.stopAt = stopLimit, at
 			return nil
 		}
-		if ev.at < e.now {
+		if at < e.now {
 			panic("sim: event in the past")
 		}
-		e.now = ev.at
+		e.now = at
 		if e.wdProbe != nil && e.now >= e.wdNext {
 			for e.now >= e.wdNext {
 				e.wdNext += e.wdInterval
@@ -400,15 +413,15 @@ func (e *Engine) dispatch() (next *Proc) {
 				e.wdLast, e.wdCount = v, 0
 			}
 		}
-		if p := ev.proc; p != nil {
-			if p.state == procDone || p.state == procRunning || ev.epoch != p.epoch {
+		if p != nil {
+			if p.state == procDone || p.state == procRunning || epoch != p.epoch {
 				continue // stale wakeup (finished proc or superseded event)
 			}
 			p.state = procRunning
 			p.epoch++ // invalidate any sibling wakeups for the old park
 			return p
 		}
-		ev.fn()
+		fn()
 	}
 	return nil
 }

@@ -38,7 +38,7 @@ type Proc struct {
 
 	// Deadlock diagnostics: what the proc is blocked on and since when
 	// (meaningful only while state == procBlocked).
-	waitLabel    string
+	waitingOn    *Signal
 	blockedSince Time
 }
 
@@ -158,7 +158,7 @@ func (p *Proc) Yield() {
 func (p *Proc) WaitSignal(s *Signal) {
 	p.checkInterrupt()
 	p.epoch++
-	p.waitLabel, p.blockedSince = s.name, p.eng.now
+	p.waitingOn, p.blockedSince = s, p.eng.now
 	//lint:allow hotalloc one waiter record per block; the per-signal slice is reused across fires, so the append is an amortized slot store
 	s.waiters = append(s.waiters, waiter{p, p.epoch})
 	p.park(procBlocked)
@@ -176,7 +176,7 @@ func (p *Proc) WaitSignalTimeout(s *Signal, d Time) bool {
 	}
 	p.epoch++
 	p.sigFired = false
-	p.waitLabel, p.blockedSince = s.name, p.eng.now
+	p.waitingOn, p.blockedSince = s, p.eng.now
 	//lint:allow hotalloc one waiter record per block; the per-signal slice is reused across fires, so the append is an amortized slot store
 	s.waiters = append(s.waiters, waiter{p, p.epoch})
 	p.eng.scheduleEpoch(p, p.eng.now+d, p.epoch)
@@ -228,9 +228,15 @@ func (p *Proc) Interrupted() bool { return p.interrupted }
 // Signal is a broadcast wakeup point: any number of procs may block on it
 // and are all released when it fires. Signals carry no state; a fire with
 // no waiters is a no-op (use a separate flag for level-sensitive waits).
+//
+// A signal's name only labels deadlock dumps. A model embeds its signals
+// by value and names them with SetName or SetNamef, which store what
+// they are given: the name is formatted only when a dump shows it.
 type Signal struct {
-	name    string
-	waiters []waiter
+	name     string // the name, or with numbered, a format for num
+	num      int
+	numbered bool
+	waiters  []waiter
 }
 
 type waiter struct {
@@ -240,6 +246,20 @@ type waiter struct {
 
 // NewSignal returns a named signal.
 func NewSignal(name string) *Signal { return &Signal{name: name} }
+
+// SetName names s.
+func (s *Signal) SetName(name string) { s.name = name }
+
+// SetNamef names s fmt.Sprintf(format, n), formatted when it is read.
+func (s *Signal) SetNamef(format string, n int) { s.name, s.num, s.numbered = format, n, true }
+
+// Name returns the signal's name.
+func (s *Signal) Name() string {
+	if s.numbered {
+		return fmt.Sprintf(s.name, s.num)
+	}
+	return s.name
+}
 
 // Fire wakes all procs currently blocked on the signal. The wakeups are
 // scheduled at the current time and run in blocking order.

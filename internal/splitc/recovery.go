@@ -157,14 +157,14 @@ type Recovery struct {
 	arrived   int
 	exhausted []bool
 	ckptGen   int64
-	ckptSig   *sim.Signal
+	ckptSig   sim.Signal
 
 	// Rollback rendezvous state.
 	rbArrived []bool
 	rbWaiting int
 	rbGen     int64 // rollback generations initiated
 	rbDone    int64 // rollback generations completed (restored)
-	rbSig     *sim.Signal
+	rbSig     sim.Signal
 
 	committed bool // final checkpoint taken: results are stable, crashes ignored
 	err       error
@@ -180,7 +180,7 @@ func NewRecovery(rt *Runtime, cfg RecoveryConfig) *Recovery {
 		cfg.MaxRollbacks = 16
 	}
 	n := len(rt.M.Nodes)
-	return &Recovery{
+	r := &Recovery{
 		rt:   rt,
 		cfg:  cfg,
 		ctxs: make([]*Ctx, n),
@@ -191,10 +191,11 @@ func NewRecovery(rt *Runtime, cfg RecoveryConfig) *Recovery {
 			Heap:  make([]int64, n),
 		},
 		exhausted: make([]bool, n),
-		ckptSig:   sim.NewSignal("recovery.ckpt"),
 		rbArrived: make([]bool, n),
-		rbSig:     sim.NewSignal("recovery.rollback"),
 	}
+	r.ckptSig.SetName("recovery.ckpt")
+	r.rbSig.SetName("recovery.rollback")
+	return r
 }
 
 // CrashNode delivers a node hard-fault: PE's volatile memory is zeroed
@@ -380,7 +381,7 @@ func (r *Recovery) rendezvous(c *Ctx, nextEpoch int, done bool) {
 	}
 	myGen := r.ckptGen
 	for r.ckptGen == myGen && r.err == nil {
-		c.P.WaitSignalTimeout(r.ckptSig, pollGap)
+		c.P.WaitSignalTimeout(&r.ckptSig, pollGap)
 	}
 }
 
@@ -478,7 +479,7 @@ func (r *Recovery) awaitRollback(c *Ctx) bool {
 				r.restoreAll()
 			}
 			for r.rbDone < myGen && r.err == nil {
-				c.P.WaitSignalTimeout(r.rbSig, pollGap)
+				c.P.WaitSignalTimeout(&r.rbSig, pollGap)
 			}
 		})
 		if !again {

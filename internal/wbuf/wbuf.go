@@ -96,8 +96,8 @@ type Buffer struct {
 	// oldest first.
 	slots   []Entry
 	head, n int
-	busy    bool        // the head entry's drain is scheduled or under way
-	changed *sim.Signal // fired on every push and pop
+	busy    bool       // the head entry's drain is scheduled or under way
+	changed sim.Signal // fired on every push and pop
 
 	stepFn, finishFn func()
 
@@ -111,12 +111,8 @@ func New(eng *sim.Engine, capacity int, sink Sink) *Buffer {
 	if capacity <= 0 {
 		panic("wbuf: capacity must be positive")
 	}
-	b := &Buffer{
-		eng:     eng,
-		sink:    sink,
-		slots:   make([]Entry, capacity),
-		changed: sim.NewSignal("wbuf.changed"),
-	}
+	b := &Buffer{eng: eng, sink: sink, slots: make([]Entry, capacity)}
+	b.changed.SetName("wbuf.changed")
 	b.stepFn, b.finishFn = b.step, b.finish
 	return b
 }
@@ -215,7 +211,7 @@ func (b *Buffer) pushSlot(p *sim.Proc, e Entry) {
 	if b.n >= len(b.slots) {
 		b.FullStalls++
 		for b.n >= len(b.slots) {
-			p.WaitSignal(b.changed)
+			p.WaitSignal(&b.changed)
 		}
 	}
 	*b.entry(b.n) = e
@@ -233,7 +229,7 @@ func (b *Buffer) pushSlot(p *sim.Proc, e Entry) {
 //t3d:hotpath
 func (b *Buffer) WaitEmpty(p *sim.Proc) {
 	for b.n > 0 {
-		p.WaitSignal(b.changed)
+		p.WaitSignal(&b.changed)
 	}
 }
 
@@ -256,6 +252,6 @@ func (b *Buffer) ConflictsWith(addr int64) bool {
 //t3d:hotpath
 func (b *Buffer) WaitNoConflict(p *sim.Proc, addr int64) {
 	for b.ConflictsWith(addr) {
-		p.WaitSignal(b.changed)
+		p.WaitSignal(&b.changed)
 	}
 }
