@@ -477,32 +477,6 @@ func (st *Store) sweep(doomed func(string) bool) {
 	}
 }
 
-// List returns the published checkpoint names for a job, newest epoch
-// first — the resume candidate order.
-func (st *Store) List(jobID string) []string {
-	names, err := st.fs.ReadDir(st.dir)
-	if err != nil {
-		// No candidates is a lawful answer (resume falls back to full
-		// replay), but an unreadable directory deserves a line.
-		st.logf("ckpt: list %s: %v", st.dir, err)
-		return nil
-	}
-	var epochs []int
-	prefix := jobID + ".e"
-	for _, n := range names {
-		var e int
-		if strings.HasPrefix(n, prefix) && n == FileName(jobID, atoiSuffix(n, prefix, &e)) {
-			epochs = append(epochs, e)
-		}
-	}
-	sort.Sort(sort.Reverse(sort.IntSlice(epochs)))
-	out := make([]string, len(epochs))
-	for i, e := range epochs {
-		out[i] = FileName(jobID, e)
-	}
-	return out
-}
-
 // Stats returns the counter snapshot.
 func (st *Store) Stats() StoreStats {
 	st.mu.Lock()

@@ -217,6 +217,21 @@ func TestDecodeDetectsBitFlips(t *testing.T) {
 	}
 }
 
+// published lists the job's published checkpoint names in dir, newest
+// epoch first (FileName zero-pads the epoch, so names sort by it).
+func published(t *testing.T, dir, jobID string) []string {
+	t.Helper()
+	paths, err := filepath.Glob(filepath.Join(dir, jobID+".e*.ckpt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := make([]string, len(paths))
+	for i, p := range paths {
+		names[len(paths)-1-i] = filepath.Base(p)
+	}
+	return names
+}
+
 func TestStoreWriteLoadRetention(t *testing.T) {
 	dir := t.TempDir()
 	st := NewStore(hostfs.OS(), dir, 2, t.Logf)
@@ -230,7 +245,7 @@ func TestStoreWriteLoadRetention(t *testing.T) {
 		digests = append(digests, dig)
 	}
 	// Retention 2: epochs 3 and 4 survive, 1 and 2 pruned.
-	list := st.List("j00000003")
+	list := published(t, dir, "j00000003")
 	if len(list) != 2 || list[0] != FileName("j00000003", 4) || list[1] != FileName("j00000003", 3) {
 		t.Fatalf("retention: got %v", list)
 	}
@@ -279,7 +294,7 @@ func TestStoreQuarantineAndSweep(t *testing.T) {
 		t.Fatalf("write: %v", err)
 	}
 	st.Quarantine(name)
-	if got := st.List("j00000004"); len(got) != 0 {
+	if got := published(t, dir, "j00000004"); len(got) != 0 {
 		t.Fatalf("quarantined file still listed: %v", got)
 	}
 	if _, err := os.Stat(filepath.Join(dir, name+".bad")); err != nil {
@@ -313,10 +328,10 @@ func TestStoreSweepExceptKeepsOnlyReferenced(t *testing.T) {
 		t.Fatal(err)
 	}
 	st.SweepExcept(map[string]bool{keepName: true})
-	if got := st.List("j00000005"); len(got) != 1 || got[0] != keepName {
+	if got := published(t, dir, "j00000005"); len(got) != 1 || got[0] != keepName {
 		t.Fatalf("kept file missing: %v", got)
 	}
-	if got := st.List("j00000006"); len(got) != 0 {
+	if got := published(t, dir, "j00000006"); len(got) != 0 {
 		t.Fatalf("unreferenced %s survived sweep", dropName)
 	}
 	left, _ := os.ReadDir(dir)

@@ -56,15 +56,6 @@ func (pr *Profile) At(size, stride int64) (float64, bool) {
 	return 0, false
 }
 
-// Sizes returns the array sizes present in the profile.
-func (pr *Profile) Sizes() []int64 {
-	var out []int64
-	for _, c := range pr.Curves {
-		out = append(out, c.ArraySize)
-	}
-	return out
-}
-
 // DefaultSizes are the array sizes of Figure 1: 4 KB to 8 MB, doubling.
 func DefaultSizes() []int64 {
 	var out []int64

@@ -150,12 +150,6 @@ func PrefetchProbe(newMachine func() *machine.T3D, groups []int, reps int) []Pre
 	return out
 }
 
-// BandwidthPoint is one measurement of the §6.2 bulk-transfer comparison.
-type BandwidthPoint struct {
-	Bytes int64
-	MBs   float64
-}
-
 // Bandwidth converts an elapsed cycle count for n bytes into MB/s.
 func Bandwidth(n int64, cycles sim.Time) float64 {
 	if cycles == 0 {

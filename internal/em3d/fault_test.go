@@ -47,8 +47,7 @@ func TestFaultyRunReplayable(t *testing.T) {
 		cfg := smallCfg(0.3)
 		cfg.Reliable = true
 		m := NewMachine(4)
-		fault.Inject(m, fault.Config{Seed: 90, DropRate: 0.08, CorruptRate: 0.04,
-			Stalls: 2, StallCycles: 3750, Horizon: 500000})
+		fault.Inject(m, fault.Config{Seed: 90, DropRate: 0.08, CorruptRate: 0.04})
 		return Run(m, cfg, Put, DefaultKnobs())
 	}
 	a, b := run(), run()

@@ -61,15 +61,6 @@ type IncastConfig struct {
 	Gap              sim.Time
 	Mode             FlowControl
 	TTL              sim.Time // per-message delivery budget (0 = none)
-	QueueSlots       int      // receive-queue override (0 = default)
-	RetryTimeout     sim.Time // retransmission timeout override (0 = default)
-	// FlitOcc narrows the links (cycles of link occupancy per 8 bytes,
-	// 0 = default fabric). The default T3D fabric is so much faster than
-	// the AM dispatch loop that an 8-node incast congests the receiver's
-	// poll loop, not the torus; narrowed links move the bottleneck to the
-	// hot ejection link, where queues grow, marks fire, and the two flow
-	// controls actually diverge.
-	FlitOcc sim.Time
 }
 
 // IncastResult is one run's outcome. Goodput counts only dispatched
@@ -102,11 +93,7 @@ func RunIncast(cfg IncastConfig) (IncastResult, error) {
 	if cfg.FanIn >= cfg.PEs {
 		return IncastResult{}, fmt.Errorf("incast: fan-in %d needs more than %d PEs", cfg.FanIn, cfg.PEs)
 	}
-	mcfg := machine.DefaultConfig(cfg.PEs)
-	if cfg.FlitOcc > 0 {
-		mcfg.Net.FlitOcc = cfg.FlitOcc
-	}
-	m := machine.New(mcfg)
+	m := machine.New(machine.DefaultConfig(cfg.PEs))
 	rt := splitc.NewRuntime(m, splitc.DefaultConfig())
 	//lint:allow sharedstate built on the host before RunErr starts; the proc bodies only read the config
 	acfg := am.ReliableConfig()
@@ -116,13 +103,6 @@ func RunIncast(cfg IncastConfig) (IncastResult, error) {
 	case FlowNone:
 		acfg.Unclamped = true // keep the default 64-deep windows: 7 senders
 		// together can hold 448 messages against 256 slots — overrun.
-	}
-	if cfg.QueueSlots > 0 {
-		acfg.QueueSlots = cfg.QueueSlots
-	}
-	if cfg.RetryTimeout > 0 {
-		acfg.RetryTimeout = cfg.RetryTimeout
-		acfg.RetryBackoffMax = 32 * cfg.RetryTimeout
 	}
 	acfg.MessageTTL = cfg.TTL
 

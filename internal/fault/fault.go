@@ -1,19 +1,16 @@
 // Package fault is a seeded, fully deterministic fault-injection
 // subsystem for the simulated T3D. The paper's gray-box methodology
 // assumes a perfectly reliable fabric; this package provides the
-// opposite: transient link faults that drop or corrupt data packets
-// inside configurable cycle windows, per-packet transient fault rates,
-// node stall faults that steal CPU cycles the way an inopportune
-// OS trap does (the paper's 25 µs message-receipt cost, §7.4), and
-// memory bit-flip faults that strike DRAM words and cached lines.
+// opposite: per-packet transient faults that drop or corrupt data
+// packets, permanent link and node failures, and memory bit-flip faults
+// that strike DRAM words and cached lines.
 //
 // Everything derives from a single 64-bit seed through a splitmix64
-// generator: the schedule of link-fault windows, stalls, and memory
-// flips is computed up front and per-packet decisions consume the
-// stream in simulation event order, which the sim kernel makes
-// deterministic. The same seed therefore reproduces the same faults —
-// and, with a deterministic workload, bit-identical end-to-end cycle
-// counts — on every run.
+// generator: the schedule of hard faults and memory flips is computed
+// up front and per-packet decisions consume the stream in simulation
+// event order, which the sim kernel makes deterministic. The same seed
+// therefore reproduces the same faults — and, with a deterministic
+// workload, bit-identical end-to-end cycle counts — on every run.
 package fault
 
 import (
@@ -44,23 +41,14 @@ type Config struct {
 	Seed uint64
 
 	// Per-packet transient fault probabilities, evaluated for every
-	// data packet independent of the link windows below.
+	// data packet.
 	DropRate    float64
 	CorruptRate float64
 
-	// Link fault windows: LinkFaults transient windows, each disabling
-	// one uniformly chosen link for WindowCycles, with start times
-	// uniform in [0, Horizon). CorruptFrac of the windows corrupt
-	// payloads instead of dropping them.
-	LinkFaults   int
-	WindowCycles sim.Time
-	Horizon      sim.Time
-	CorruptFrac  float64
-
-	// Node stalls: Stalls OS-jitter pauses of StallCycles each, at
-	// uniform times in [0, Horizon) on uniformly chosen nodes.
-	Stalls      int
-	StallCycles sim.Time
+	// Horizon bounds the scheduled faults below: hard faults and memory
+	// flips fire at uniform times in [0, Horizon), and the scrubber
+	// ticks until it.
+	Horizon sim.Time
 
 	// Hard failures: fail-at-cycle, never recover. HardLinkFaults links
 	// die permanently at uniform times in [0, Horizon); the fabric must
@@ -81,8 +69,8 @@ type Config struct {
 	// refills from DRAM) and the DRAM word otherwise. MemMultiFrac of
 	// the flips are double-bit — uncorrectable by SECDED, so a read of
 	// the word returns poison instead of data. The flip stream is
-	// independent of the transient and hard plans: enabling memory
-	// faults replays an existing link/stall/crash schedule unchanged.
+	// independent of the hard-fault plan: enabling memory faults
+	// replays an existing link/crash schedule unchanged.
 	MemFaultRate float64
 	MemMultiFrac float64
 	// MemFaultWords, when positive, confines flips to a window of N words
@@ -118,9 +106,6 @@ func (c Config) Validate() error {
 	if c.DropRate+c.CorruptRate > 1 {
 		return fmt.Errorf("fault: DropRate+CorruptRate: sum %g exceeds 1", c.DropRate+c.CorruptRate)
 	}
-	if c.CorruptFrac < 0 || c.CorruptFrac > 1 || math.IsNaN(c.CorruptFrac) {
-		return fmt.Errorf("fault: CorruptFrac: must be in [0,1], got %g", c.CorruptFrac)
-	}
 	if c.MemFaultRate < 0 || math.IsNaN(c.MemFaultRate) {
 		return fmt.Errorf("fault: MemFaultRate: must be a non-negative number, got %g", c.MemFaultRate)
 	}
@@ -136,8 +121,8 @@ func (c Config) Validate() error {
 	if c.MemFaultBase > 0 && c.MemFaultWords == 0 {
 		return fmt.Errorf("fault: MemFaultBase: needs MemFaultWords to bound the window, got base %d with no window", c.MemFaultBase)
 	}
-	if scheduled := c.LinkFaults > 0 || c.Stalls > 0 || c.HardLinkFaults > 0 ||
-		c.HardNodeFaults > 0 || c.MemFaultRate > 0 || c.Scrub; scheduled && c.Horizon <= 0 {
+	if scheduled := c.HardLinkFaults > 0 || c.HardNodeFaults > 0 ||
+		c.MemFaultRate > 0 || c.Scrub; scheduled && c.Horizon <= 0 {
 		return fmt.Errorf("fault: Horizon: scheduled faults need a positive horizon, got %d", c.Horizon)
 	}
 	if c.HardLinkFaults < 0 {
@@ -146,31 +131,10 @@ func (c Config) Validate() error {
 	if c.HardNodeFaults < 0 {
 		return fmt.Errorf("fault: HardNodeFaults: must be non-negative, got %d", c.HardNodeFaults)
 	}
-	if c.LinkFaults > 0 && c.WindowCycles <= 0 {
-		return fmt.Errorf("fault: WindowCycles: link faults need a positive window, got %d", c.WindowCycles)
-	}
-	if c.Stalls > 0 && c.StallCycles <= 0 {
-		return fmt.Errorf("fault: StallCycles: stalls need a positive duration, got %d", c.StallCycles)
-	}
 	if c.Scrub && c.ScrubInterval <= 0 {
 		return fmt.Errorf("fault: ScrubInterval: scrubbing needs a positive interval, got %d", c.ScrubInterval)
 	}
 	return nil
-}
-
-// LinkFault is one transient link-fault window: packets whose route
-// crosses link (Node, Dir) while the window is open suffer Kind.
-type LinkFault struct {
-	Node, Dir   int
-	From, Until sim.Time
-	Kind        net.Fault
-}
-
-// Stall is one node stall: at time At, node PE loses Cycles cycles.
-type Stall struct {
-	PE     int
-	At     sim.Time
-	Cycles sim.Time
 }
 
 // HardLink is one permanent link failure: the link leaving Node in
@@ -209,8 +173,6 @@ type MemFlip struct {
 type Schedule struct {
 	Cfg       Config
 	Nodes     int
-	Links     []LinkFault
-	Stalls    []Stall
 	HardLinks []HardLink
 	HardNodes []HardNode
 	MemFlips  []MemFlip
@@ -231,31 +193,6 @@ func NewSchedule(cfg Config, nodes int) *Schedule {
 	}
 	r := Rand{State: cfg.Seed}
 	s := &Schedule{Cfg: cfg, Nodes: nodes}
-	for i := 0; i < cfg.LinkFaults; i++ {
-		start := sim.Time(r.Next() % uint64(cfg.Horizon))
-		kind := net.FaultDrop
-		if r.Float() < cfg.CorruptFrac {
-			kind = net.FaultCorrupt
-		}
-		s.Links = append(s.Links, LinkFault{
-			Node:  r.Intn(nodes),
-			Dir:   r.Intn(numDirs),
-			From:  start,
-			Until: start + cfg.WindowCycles,
-			Kind:  kind,
-		})
-	}
-	sort.Slice(s.Links, func(i, j int) bool { return s.Links[i].From < s.Links[j].From })
-	for i := 0; i < cfg.Stalls; i++ {
-		s.Stalls = append(s.Stalls, Stall{
-			PE:     r.Intn(nodes),
-			At:     sim.Time(r.Next() % uint64(cfg.Horizon)),
-			Cycles: cfg.StallCycles,
-		})
-	}
-	sort.Slice(s.Stalls, func(i, j int) bool { return s.Stalls[i].At < s.Stalls[j].At })
-	// Hard faults draw from the same stream, after the transient plan, so
-	// enabling them never perturbs an existing transient schedule.
 	for i := 0; i < cfg.HardLinkFaults; i++ {
 		s.HardLinks = append(s.HardLinks, HardLink{
 			Node: r.Intn(nodes),
@@ -273,11 +210,11 @@ func NewSchedule(cfg Config, nodes int) *Schedule {
 	sort.Slice(s.HardNodes, func(i, j int) bool { return s.HardNodes[i].At < s.HardNodes[j].At })
 	// Memory flips draw from their own salted stream (not merely after
 	// the others on the same stream) so the flip plan is also a pure
-	// function of the seed alone — changing LinkFaults or Stalls never
-	// moves a memory flip.
+	// function of the seed alone — changing the hard faults never moves
+	// a memory flip.
 	if cfg.MemFaultRate > 0 {
 		mr := Rand{State: cfg.Seed ^ memStreamSalt}
-		count := int(cfg.MemFaultRate*float64(cfg.Horizon)*float64(nodes)/1e6 + 0.5)
+		count := int(MemFlipCount(cfg, nodes))
 		for i := 0; i < count; i++ {
 			f := MemFlip{
 				PE:       mr.Intn(nodes),
@@ -298,9 +235,18 @@ func NewSchedule(cfg Config, nodes int) *Schedule {
 	return s
 }
 
+// MemFlipCount is how many memory flips NewSchedule plans for cfg on a
+// machine of the given node count: MemFaultRate per PE per million
+// cycles of the horizon, rounded to the nearest whole flip. Each flip
+// is held in the schedule from the start, so callers that take the
+// rate from outside bound this before building one.
+func MemFlipCount(cfg Config, nodes int) float64 {
+	return math.Floor(cfg.MemFaultRate*float64(cfg.Horizon)*float64(nodes)/1e6 + 0.5)
+}
+
 // Injector evaluates a schedule against live traffic. It implements
-// net.FaultHook for the link/packet faults; Attach wires it (and the
-// stall, crash, flip, and scrub events) into a machine.
+// net.FaultHook for the per-packet faults; Attach wires it (and the
+// crash, flip, and scrub events) into a machine.
 type Injector struct {
 	sched *Schedule
 	r     Rand // per-packet stream, consumed in deterministic event order
@@ -317,7 +263,7 @@ type Injector struct {
 	scrubCursor []int64
 
 	// Stats.
-	Drops, Corrupts, Stalled   int64
+	Drops, Corrupts            int64
 	HardLinkFails, NodeCrashes int64
 	MemFlips, CacheFlips       int64
 	Scrubbed, ScrubTicks       int64
@@ -330,22 +276,9 @@ func NewInjector(s *Schedule) *Injector {
 	return &Injector{sched: s, r: Rand{State: s.Cfg.Seed ^ packetStreamSalt}}
 }
 
-// PacketFault implements net.FaultHook.
-func (in *Injector) PacketFault(src, dst, payloadBytes int, route [][2]int, hopTimes []sim.Time) net.Fault {
-	// Link windows first: a packet crossing a faulted link inside its
-	// window suffers the window's kind.
-	for i, hop := range route {
-		t := hopTimes[i]
-		for _, lf := range in.sched.Links {
-			if lf.From > t {
-				break // sorted by From; no later window can cover t
-			}
-			if t < lf.Until && hop[0] == lf.Node && hop[1] == lf.Dir {
-				return in.count(lf.Kind)
-			}
-		}
-	}
-	// Then the per-packet transient rates.
+// PacketFault implements net.FaultHook: one draw of the per-packet
+// stream decides the packet's fate from the transient rates.
+func (in *Injector) PacketFault(src, dst, payloadBytes int) net.Fault {
 	cfg := in.sched.Cfg
 	if cfg.DropRate > 0 || cfg.CorruptRate > 0 {
 		u := in.r.Float()
@@ -370,17 +303,10 @@ func (in *Injector) count(f net.Fault) net.Fault {
 }
 
 // Attach installs the injector on a machine: the packet hook on the
-// fabric and one engine event per scheduled stall, hard fault, memory
-// flip, and scrub tick. Call before the simulation runs.
+// fabric and one engine event per scheduled hard fault, memory flip,
+// and scrub tick. Call before the simulation runs.
 func (in *Injector) Attach(m *machine.T3D) {
 	m.Net.SetFaultHook(in)
-	for _, st := range in.sched.Stalls {
-		st := st
-		m.Eng.At(st.At, func() {
-			m.Nodes[st.PE].Shell.Steal(st.Cycles)
-			in.Stalled++
-		})
-	}
 	for _, hl := range in.sched.HardLinks {
 		hl := hl
 		m.Eng.At(hl.At, func() {

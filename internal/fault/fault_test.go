@@ -14,9 +14,9 @@ import (
 
 func TestScheduleReplayableFromSeed(t *testing.T) {
 	cfg := Config{
-		Seed:       7,
-		LinkFaults: 20, WindowCycles: 500, Horizon: 100000, CorruptFrac: 0.25,
-		Stalls: 10, StallCycles: 3750,
+		Seed:           7,
+		HardLinkFaults: 20, HardNodeFaults: 10, Horizon: 100000,
+		MemFaultRate: 5, MemMultiFrac: 0.25,
 	}
 	a := NewSchedule(cfg, 16)
 	b := NewSchedule(cfg, 16)
@@ -25,21 +25,11 @@ func TestScheduleReplayableFromSeed(t *testing.T) {
 	}
 	cfg.Seed = 8
 	c := NewSchedule(cfg, 16)
-	if reflect.DeepEqual(a.Links, c.Links) && reflect.DeepEqual(a.Stalls, c.Stalls) {
-		t.Error("different seeds produced identical schedules")
+	if reflect.DeepEqual(a.HardLinks, c.HardLinks) && reflect.DeepEqual(a.HardNodes, c.HardNodes) {
+		t.Error("different seeds produced identical hard-fault plans")
 	}
-	for _, lf := range a.Links {
-		if lf.Node < 0 || lf.Node >= 16 || lf.Dir < 0 || lf.Dir >= numDirs {
-			t.Errorf("link fault %+v outside the machine", lf)
-		}
-		if lf.Until-lf.From != cfg.WindowCycles {
-			t.Errorf("window %+v has wrong length", lf)
-		}
-	}
-	for _, st := range a.Stalls {
-		if st.PE < 0 || st.PE >= 16 || st.At < 0 || st.At >= cfg.Horizon {
-			t.Errorf("stall %+v outside the machine/horizon", st)
-		}
+	if reflect.DeepEqual(a.MemFlips, c.MemFlips) {
+		t.Error("different seeds produced identical flip plans")
 	}
 }
 
@@ -59,7 +49,6 @@ func TestConfigValidate(t *testing.T) {
 		{"corrupt-above-one", "CorruptRate", Config{CorruptRate: 1.5}},
 		{"corrupt-nan", "CorruptRate", Config{CorruptRate: nan}},
 		{"rates-sum", "DropRate+CorruptRate", Config{DropRate: 0.7, CorruptRate: 0.7}},
-		{"corruptfrac-range", "CorruptFrac", Config{CorruptFrac: -0.5}},
 		{"memrate-negative", "MemFaultRate", Config{MemFaultRate: -1}},
 		{"memrate-nan", "MemFaultRate", Config{MemFaultRate: nan}},
 		{"multifrac-range", "MemMultiFrac", Config{MemMultiFrac: 1.5}},
@@ -67,16 +56,12 @@ func TestConfigValidate(t *testing.T) {
 		{"memwords-negative", "MemFaultWords", Config{MemFaultWords: -8}},
 		{"membase-negative", "MemFaultBase", Config{MemFaultBase: -8, MemFaultWords: 64}},
 		{"membase-unbounded", "MemFaultBase", Config{MemFaultBase: 64}},
-		{"links-no-horizon", "Horizon", Config{LinkFaults: 1, WindowCycles: 10}},
-		{"stalls-no-horizon", "Horizon", Config{Stalls: 1, StallCycles: 5}},
 		{"hardlinks-no-horizon", "Horizon", Config{HardLinkFaults: 1}},
 		{"hardnodes-no-horizon", "Horizon", Config{HardNodeFaults: 1}},
 		{"memrate-no-horizon", "Horizon", Config{MemFaultRate: 2}},
 		{"scrub-no-horizon", "Horizon", Config{Scrub: true, ScrubInterval: 10}},
 		{"hardlinks-negative", "HardLinkFaults", Config{HardLinkFaults: -1, Horizon: 100}},
 		{"hardnodes-negative", "HardNodeFaults", Config{HardNodeFaults: -1, Horizon: 100}},
-		{"links-no-window", "WindowCycles", Config{LinkFaults: 1, Horizon: 100}},
-		{"stalls-no-cycles", "StallCycles", Config{Stalls: 1, Horizon: 100}},
 		{"scrub-no-interval", "ScrubInterval", Config{Scrub: true, Horizon: 100}},
 	}
 	for _, tc := range bad {
@@ -89,8 +74,8 @@ func TestConfigValidate(t *testing.T) {
 			t.Errorf("%s: error %q does not start with %q", tc.name, err, want)
 		}
 	}
-	good := Config{Seed: 1, DropRate: 0.01, LinkFaults: 2, WindowCycles: 10, Horizon: 1000,
-		Stalls: 1, StallCycles: 5, MemFaultRate: 3, MemMultiFrac: 0.25,
+	good := Config{Seed: 1, DropRate: 0.01, Horizon: 1000, HardLinkFaults: 2, HardNodeFaults: 1,
+		MemFaultRate: 3, MemMultiFrac: 0.25,
 		MemFaultBase: 8192, MemFaultWords: 64, Scrub: true, ScrubInterval: 100}
 	if err := good.Validate(); err != nil {
 		t.Errorf("valid config rejected: %v", err)
@@ -98,22 +83,21 @@ func TestConfigValidate(t *testing.T) {
 }
 
 // TestMemStreamIndependent pins the stream-isolation contract: enabling
-// memory flips must not move a single draw of the link/stall plan, so
-// recorded transient-fault replay seeds stay valid, and the flip plan
-// itself must be replayable and in bounds.
+// memory flips must not move a single draw of the hard-fault plan, so
+// recorded replay seeds stay valid, and the flip plan itself must be
+// replayable and in bounds.
 func TestMemStreamIndependent(t *testing.T) {
 	base := Config{
-		Seed:       7,
-		LinkFaults: 20, WindowCycles: 500, Horizon: 100000, CorruptFrac: 0.25,
-		Stalls: 10, StallCycles: 3750,
+		Seed:           7,
+		HardLinkFaults: 20, HardNodeFaults: 10, Horizon: 100000,
 	}
 	withMem := base
 	withMem.MemFaultRate = 5
 	withMem.MemMultiFrac = 0.5
 	a := NewSchedule(base, 16)
 	b := NewSchedule(withMem, 16)
-	if !reflect.DeepEqual(a.Links, b.Links) || !reflect.DeepEqual(a.Stalls, b.Stalls) {
-		t.Error("enabling memory flips changed the link/stall schedule")
+	if !reflect.DeepEqual(a.HardLinks, b.HardLinks) || !reflect.DeepEqual(a.HardNodes, b.HardNodes) {
+		t.Error("enabling memory flips changed the hard-fault plan")
 	}
 	if len(a.MemFlips) != 0 {
 		t.Errorf("schedule without memory faults has %d flips", len(a.MemFlips))
@@ -204,9 +188,7 @@ func TestInjectedFaultsDamagePayloads(t *testing.T) {
 
 func TestInjectionReplayable(t *testing.T) {
 	// Same seed ⇒ identical fault decisions, end time, and memory image.
-	cfg := Config{Seed: 1234, DropRate: 0.1, CorruptRate: 0.05,
-		LinkFaults: 4, WindowCycles: 2000, Horizon: 200000, CorruptFrac: 0.5,
-		Stalls: 2, StallCycles: 3750}
+	cfg := Config{Seed: 1234, DropRate: 0.1, CorruptRate: 0.05}
 	endA, imgA, dropsA, corrA := remoteStoreStorm(t, cfg)
 	endB, imgB, dropsB, corrB := remoteStoreStorm(t, cfg)
 	if endA != endB {

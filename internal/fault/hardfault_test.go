@@ -39,34 +39,6 @@ func TestHardFaultScheduleDeterministic(t *testing.T) {
 	}
 }
 
-func TestHardFaultsDoNotPerturbTransientPlan(t *testing.T) {
-	// Hard faults draw from the rng stream AFTER the transient plan, so
-	// enabling them must leave an existing transient schedule untouched —
-	// a run can add hard failures without re-randomizing its drops.
-	base := Config{
-		Seed:         7,
-		LinkFaults:   4,
-		WindowCycles: 500,
-		Stalls:       3,
-		StallCycles:  200,
-		Horizon:      20000,
-	}
-	withHard := base
-	withHard.HardLinkFaults = 2
-	withHard.HardNodeFaults = 1
-	a := NewSchedule(base, 8)
-	b := NewSchedule(withHard, 8)
-	if !reflect.DeepEqual(a.Links, b.Links) {
-		t.Error("transient link windows changed when hard faults were enabled")
-	}
-	if !reflect.DeepEqual(a.Stalls, b.Stalls) {
-		t.Error("stall plan changed when hard faults were enabled")
-	}
-	if len(b.HardLinks) != 2 || len(b.HardNodes) != 1 {
-		t.Errorf("hard plan = %d links, %d nodes; want 2 and 1", len(b.HardLinks), len(b.HardNodes))
-	}
-}
-
 func TestNodeCrashWithoutHandlerPanics(t *testing.T) {
 	// Fail-stop without recovery has no correct continuation: a node
 	// hard-fault firing with no OnNodeCrash handler must stop the run

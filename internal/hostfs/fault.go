@@ -27,10 +27,6 @@ type FaultConfig struct {
 	// may or may not be durable; callers must treat the record as
 	// unacknowledged.
 	SyncErrRate float64
-	// ReadCorruptRate flips one seeded bit in the buffer returned by a
-	// Read — silent read-back corruption, which checksummed formats
-	// must detect and refuse.
-	ReadCorruptRate float64
 	// WriteBudget, when positive, bounds the total bytes writable
 	// through this FS; the write that crosses it lands only the
 	// remaining prefix and fails ErrNoSpace, and every later write
@@ -70,15 +66,14 @@ type FaultStats struct {
 	WriteErrs   int64
 	ShortWrites int64
 	SyncErrs    int64
-	ReadFlips   int64
 	NoSpace     int64
 }
 
 // Fault is the fault-injecting FS. It wraps an inner FS (usually OS())
-// and perturbs the data plane only: OpenFile/Rename/Remove/ReadDir pass
-// through unless the disk is broken, because the interesting failures —
-// the ones the journal's ack contract depends on — are on the
-// write/fsync/read path.
+// and perturbs the data plane only: reads, OpenFile and ReadDir always
+// pass through, and Rename/Remove fail only on a dead disk, because the
+// interesting failures — the ones the journal's ack contract depends
+// on — are on the write/fsync path.
 type Fault struct {
 	inner FS
 	cfg   FaultConfig
@@ -234,20 +229,7 @@ func (ff *faultFile) Sync() error {
 	return ff.inner.Sync()
 }
 
-func (ff *faultFile) Read(p []byte) (int, error) {
-	n, err := ff.inner.Read(p)
-	if n > 0 {
-		f := ff.fs
-		f.mu.Lock()
-		if r := f.cfg.ReadCorruptRate; r > 0 && f.draw() < r {
-			bit := f.rng.Intn(n * 8)
-			p[bit/8] ^= 1 << (bit % 8)
-			f.stats.ReadFlips++
-		}
-		f.mu.Unlock()
-	}
-	return n, err
-}
+func (ff *faultFile) Read(p []byte) (int, error) { return ff.inner.Read(p) }
 
 func (ff *faultFile) Seek(offset int64, whence int) (int64, error) {
 	return ff.inner.Seek(offset, whence)

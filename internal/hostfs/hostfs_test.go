@@ -173,37 +173,6 @@ func TestFaultBrokenModes(t *testing.T) {
 	}
 }
 
-// TestFaultReadCorruption: a read-back flip changes exactly one bit.
-func TestFaultReadCorruption(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "r")
-	want := bytes.Repeat([]byte{0xAA}, 256)
-	if err := WriteFile(OS(), path, want, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	fsys := NewFault(OS(), FaultConfig{Seed: 7, ReadCorruptRate: 1})
-	got, err := ReadFile(fsys, path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	diff := 0
-	for i := range want {
-		if got[i] != want[i] {
-			b := got[i] ^ want[i]
-			for ; b != 0; b &= b - 1 {
-				diff++
-			}
-		}
-	}
-	// io.ReadAll issues one or more Reads; each corrupts one bit.
-	if diff == 0 {
-		t.Fatal("ReadCorruptRate=1 flipped no bits")
-	}
-	if s := fsys.Stats(); int(s.ReadFlips) != diff {
-		t.Fatalf("stats count %d flips, observed %d", s.ReadFlips, diff)
-	}
-}
-
 // TestRecorderReplay: the mutation log replays to the exact byte state
 // at every prefix, including torn writes and rename/remove effects.
 func TestRecorderReplay(t *testing.T) {

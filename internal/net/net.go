@@ -153,13 +153,11 @@ func (f Fault) String() string {
 	return fmt.Sprintf("fault(%d)", int(f))
 }
 
-// FaultHook decides the fate of one data packet. route lists the
-// (node, direction) links the packet traverses and hopTimes the time the
-// packet head starts service on each of them, so window-based link
-// faults can be evaluated precisely. Control packets (read requests,
-// responses, acknowledgements) never consult the hook.
+// FaultHook decides the fate of one data packet, consulted once per
+// packet as it is sent. Control packets (read requests, responses,
+// acknowledgements) never consult the hook.
 type FaultHook interface {
-	PacketFault(src, dst, payloadBytes int, route [][2]int, hopTimes []sim.Time) Fault
+	PacketFault(src, dst, payloadBytes int) Fault
 }
 
 // Network is the torus fabric.
@@ -389,17 +387,10 @@ func (n *Network) send(src, dst, payloadBytes int, ctl func(), data func(Fault, 
 			n.ExtraHops += int64(extra)
 		}
 	}
-	var hopTimes []sim.Time
-	if faultable && n.hook != nil {
-		hopTimes = make([]sim.Time, 0, len(route))
-	}
 	marked := false
 	for _, hop := range route {
 		link := &n.links[hop[0]][hop[1]]
 		start := link.Acquire(t, occ)
-		if hopTimes != nil {
-			hopTimes = append(hopTimes, start)
-		}
 		// Congestion-experienced: the packet queued behind earlier
 		// traffic at this link for longer than the mark threshold.
 		if thr := n.cfg.MarkThreshold; faultable && thr > 0 && start-t > thr {
@@ -414,7 +405,7 @@ func (n *Network) send(src, dst, payloadBytes int, ctl func(), data func(Fault, 
 	pk := n.newPacket(ctl, data)
 	pk.marked = marked
 	if faultable && n.hook != nil {
-		pk.fault = n.hook.PacketFault(src, dst, payloadBytes, route, hopTimes)
+		pk.fault = n.hook.PacketFault(src, dst, payloadBytes)
 		switch pk.fault {
 		case FaultDrop:
 			n.Dropped++
@@ -449,27 +440,3 @@ func (n *Network) LinkBacklog(node, dir int) sim.Time {
 // LinkBusy returns the accumulated occupancy of the link leaving node in
 // direction dir (0..5: +x,-x,+y,-y,+z,-z).
 func (n *Network) LinkBusy(node, dir int) sim.Time { return n.busy[node][dir] }
-
-// HottestLink reports the most-occupied link and its accumulated busy
-// time — the congestion diagnostic for the contention extensions.
-func (n *Network) HottestLink() (node, dir int, busy sim.Time) {
-	for nd := range n.busy {
-		for d := 0; d < numDirs; d++ {
-			if n.busy[nd][d] > busy {
-				node, dir, busy = nd, d, n.busy[nd][d]
-			}
-		}
-	}
-	return node, dir, busy
-}
-
-// TotalLinkBusy sums occupancy over all links (aggregate traffic·time).
-func (n *Network) TotalLinkBusy() sim.Time {
-	var total sim.Time
-	for nd := range n.busy {
-		for d := 0; d < numDirs; d++ {
-			total += n.busy[nd][d]
-		}
-	}
-	return total
-}

@@ -93,11 +93,3 @@ func Bytes(n int64) string {
 		return fmt.Sprint(n)
 	}
 }
-
-// PaperCompare formats a measured-vs-paper cell with the deviation.
-func PaperCompare(got, paper float64) string {
-	if paper == 0 {
-		return fmt.Sprintf("%.1f (n/a)", got)
-	}
-	return fmt.Sprintf("%.1f vs %.1f (%+.0f%%)", got, paper, (got/paper-1)*100)
-}

@@ -75,15 +75,6 @@ func TestBytes(t *testing.T) {
 	}
 }
 
-func TestPaperCompare(t *testing.T) {
-	if got := PaperCompare(110, 100); got != "110.0 vs 100.0 (+10%)" {
-		t.Errorf("PaperCompare = %q", got)
-	}
-	if got := PaperCompare(5, 0); !strings.Contains(got, "n/a") {
-		t.Errorf("zero-paper compare = %q", got)
-	}
-}
-
 func TestEmptyTable(t *testing.T) {
 	var sb strings.Builder
 	(&Table{Headers: []string{"a"}}).Render(&sb)

@@ -188,6 +188,54 @@ func TestHTTPErrors(t *testing.T) {
 	}
 }
 
+// TestHTTPRefusesOverCapFaultPlan: a memory-fault plan too large to hold
+// is refused with 400 before a job or a plan exists, while the largest
+// plan the suite runs (TestServerDeterministicFaultResult's) is taken.
+func TestHTTPRefusesOverCapFaultPlan(t *testing.T) {
+	// 256 PEs × 100,000 flips per PE per Mcycle × the default 5M-cycle
+	// horizon is 128M flips, tens of GB of schedule: Validate alone
+	// must refuse it, since building it is what would fail.
+	huge := JobSpec{PEs: 256, Fault: FaultSpec{MemFaultRate: 100000}}
+	if err := huge.Validate(); err == nil || !strings.HasPrefix(err.Error(), "serve: fault: ") {
+		t.Fatalf("Validate(%+v) = %v, want a serve: fault: refusal", huge.Fault, err)
+	}
+	taken := slowSpec(3)
+	taken.Fault = FaultSpec{Seed: 5, MemFaultRate: 2000, MemMultiFrac: 1} // 80,000 flips
+	if err := taken.Validate(); err != nil {
+		t.Fatalf("the 80,000-flip spec was refused: %v", err)
+	}
+
+	s := newTestServer(t, Config{})
+	defer s.Drain(5 * time.Second)
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	// Just over the cap: 8 PEs × 3,300 × 5M cycles / 1e6 = 132,000 flips.
+	resp, _ := postJob(t, ts, `{"pes":8,"fault":{"mem_fault_rate":3300}}`)
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("over-cap submit: status %d, want 400", resp.StatusCode)
+	}
+	if z := s.Status(); z.Jobs != 0 || z.Submits != 0 {
+		t.Errorf("over-cap submit left %d jobs and %d submits, want none", z.Jobs, z.Submits)
+	}
+}
+
+// TestHTTPRefusesOversizedBody: a POST /jobs body far past any real spec
+// is refused with 413 instead of being buffered whole.
+func TestHTTPRefusesOversizedBody(t *testing.T) {
+	s := newTestServer(t, Config{})
+	defer s.Drain(5 * time.Second)
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	// One 128 KiB JSON string token.
+	resp, _ := postJob(t, ts, `{"app":"`+strings.Repeat("x", 1<<17)+`"}`)
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized submit: status %d, want 413", resp.StatusCode)
+	}
+	if z := s.Status(); z.Submits != 0 {
+		t.Errorf("oversized submit counted %d submits, want none", z.Submits)
+	}
+}
+
 // TestHTTPOverloadSheds: a concurrent burst of distinct jobs against a
 // tiny pool must shed with 429 + a positive integer Retry-After, the
 // in-system job count must stay within Workers+QueueDepth, and every

@@ -137,12 +137,9 @@ type PoolConfig struct {
 	RetryMin   time.Duration // floor for the shed Retry-After hint (default 1s)
 
 	// Tenants holds per-tenant weight/quota overrides by name; tenants
-	// not present get DefaultTenant's config.
+	// not present get the zero config (weight 1, no quotas), which
+	// shares one FIFO bounded only by the global limits.
 	Tenants map[string]TenantConfig
-	// DefaultTenant is the config for tenants absent from Tenants. The
-	// zero value (weight 1, no quotas) preserves the pre-tenant
-	// behavior: a single shared FIFO bounded only by the global limits.
-	DefaultTenant TenantConfig
 
 	// now is the injectable clock (tests drive admission decisions
 	// deterministically); nil means time.Now.
@@ -275,11 +272,7 @@ func (p *Pool) tenantLocked(name string) *tenantState {
 	if t, ok := p.tenants[name]; ok {
 		return t
 	}
-	cfg, ok := p.cfg.Tenants[name]
-	if !ok {
-		cfg = p.cfg.DefaultTenant
-	}
-	t := &tenantState{name: name, cfg: cfg.withDefaults()}
+	t := &tenantState{name: name, cfg: p.cfg.Tenants[name].withDefaults()}
 	p.tenants[name] = t
 	p.ring = append(p.ring, t)
 	return t

@@ -680,12 +680,21 @@ func writeJSONIndent(w http.ResponseWriter, code int, v any, indent string) {
 	}
 }
 
+// maxSpecBytes bounds a POST /jobs body. A spec is under 1 KiB; the
+// bound keeps one oversized JSON token from being buffered whole.
+const maxSpecBytes = 64 << 10
+
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var spec JobSpec
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSpecBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&spec); err != nil {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "bad spec: " + err.Error()})
+		code := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		writeJSON(w, code, map[string]string{"error": "bad spec: " + err.Error()})
 		return
 	}
 	// The header names the tenant without touching the spec body; a

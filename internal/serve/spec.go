@@ -204,11 +204,23 @@ func (s JobSpec) Validate() error {
 	if s.CheckpointCycles < 0 {
 		return fmt.Errorf("serve: checkpoint_cycles: must be non-negative, got %d", s.CheckpointCycles)
 	}
-	if err := n.Fault.config().Validate(); err != nil {
+	fcfg := n.Fault.config()
+	if err := fcfg.Validate(); err != nil {
 		return fmt.Errorf("serve: fault: %w", err)
+	}
+	if flips := fault.MemFlipCount(fcfg, n.PEs); flips > maxMemFlips {
+		return fmt.Errorf("serve: fault: mem_fault_rate: the plan holds %.0f flips over %d cycles on %d PEs, above the cap of %d",
+			flips, fcfg.Horizon, n.PEs, maxMemFlips)
 	}
 	return nil
 }
+
+// maxMemFlips caps a served job's memory-fault plan. fault.NewSchedule
+// builds every flip up front, allocating about 200 bytes per flip, so
+// the cap bounds that near 26 MiB. An accepted job is journaled and
+// replays after a restart, so a plan that cannot fit must be refused
+// before it exists.
+const maxMemFlips = 1 << 17
 
 // validTenant bounds tenant names: they appear in journal records, HTTP
 // headers, flags, and logs, so they stay short and unambiguous.

@@ -126,6 +126,8 @@ type Shell struct {
 	fi      [2]uint64
 	swapReg uint64
 
+	// stolen is the message-receive interrupt time (msg.go) the CPU
+	// owes, charged at its next instruction boundary (TakeStolen).
 	stolen sim.Time
 
 	msgs     []Message
@@ -221,16 +223,6 @@ func (s *Shell) TakeStolen() sim.Time {
 	d := s.stolen
 	s.stolen = 0
 	return d
-}
-
-// Steal charges d cycles against this node's CPU at its next instruction
-// boundary — the mechanism message-receive interrupts already use. Fault
-// injection uses it to model OS-jitter stalls (the paper's 25 µs OS trap
-// cost, §7.4, arriving at an inopportune moment).
-func (s *Shell) Steal(d sim.Time) {
-	if d > 0 {
-		s.stolen += d
-	}
 }
 
 // ArrivalSignal fires whenever a remote write lands in this node's
@@ -494,10 +486,6 @@ func (s *Shell) FetchInc(p *sim.Proc, pe, reg int) uint64 {
 	p.Wait(s.cfg.RespAccept)
 	return val
 }
-
-// PokeFI sets a fetch&increment register directly: a configuration
-// helper for program setup, charged no simulated time.
-func (s *Shell) PokeFI(reg int, v uint64) { s.fi[reg] = v }
 
 // FI reads a fetch&increment register without simulated cost (tests).
 func (s *Shell) FI(reg int) uint64 { return s.fi[reg] }

@@ -184,15 +184,6 @@ func TestSwapSerializesConcurrentWinners(t *testing.T) {
 	}
 }
 
-func TestPokeAndReadFI(t *testing.T) {
-	_, fab := testFabric(2)
-	s := fab.Nodes[1].Shell
-	s.PokeFI(1, 41)
-	if s.FI(1) != 41 {
-		t.Errorf("FI = %d", s.FI(1))
-	}
-}
-
 func TestFetchIncBadRegisterPanics(t *testing.T) {
 	eng, fab := testFabric(2)
 	defer func() {

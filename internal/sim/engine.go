@@ -434,9 +434,6 @@ func (e *Engine) recoverCallback() {
 	}
 }
 
-// Idle reports whether the engine has no pending events.
-func (e *Engine) Idle() bool { return len(e.events) == 0 }
-
 // Events reports how many events the engine has processed across all
 // runs: the host-side unit of simulation work (bench/ reports it as
 // sim.events_per_point, _per_edge and _per_run).

@@ -70,7 +70,11 @@ func (e *Engine) Spawn(name string, body func(p *Proc)) *Proc {
 }
 
 // SpawnDaemon is like Spawn, but the proc is exempt from deadlock
-// detection: it is expected to idle forever (pollers, test drivers).
+// detection: it is expected to idle forever. Only tests spawn one: the
+// zero-allocation tests in engine_test.go and splitc's runtime_test.go
+// keep a proc parked across rounds, where a plain proc would make each
+// round's end build a deadlock report, which allocates; shell_test.go's
+// message receiver loops forever the same way.
 func (e *Engine) SpawnDaemon(name string, body func(p *Proc)) *Proc {
 	p := e.Spawn(name, body)
 	p.daemon = true

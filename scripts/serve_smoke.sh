@@ -14,6 +14,9 @@
 #      than the server's window of 1024 recent terminal jobs, /statusz
 #      counts at most 1024 + the live jobs, the first hit's ID is gone
 #      (404) and the last one answers done.
+#   4. A memory-fault plan too large to hold is refused: a spec over
+#      the flip cap answers 400, and /statusz counts no new submit or
+#      job.
 #
 # Exits nonzero on any divergence. No arguments; runs from the repo
 # root in a throwaway temp dir.
@@ -150,6 +153,20 @@ case "$(get "$BASE/jobs/$LAST")" in
   *) fail "last hit $LAST not done" ;;
 esac
 say "$HITS cache hits: job table $JOBS (window $WINDOW + $LIVE live), first hit 404, last done"
+
+# --- Invariant 4: an over-cap memory-fault plan is refused ----------
+# 8 PEs x 3300 flips/PE/Mcycle over the default 5M-cycle horizon is
+# 132,000 flips, just over the 131,072 cap.
+OVER='{"app":"em3d","pes":8,"seed":9,"fault":{"mem_fault_rate":3300}}'
+Z=$(get "$BASE/statusz")
+SUBMITS=$(num "$Z" submits) JOBS=$(num "$Z" jobs)
+CODE=$(curl -s -o "$TMP/over.json" -w '%{http_code}' "$BASE/jobs" -d "$OVER")
+[ "$CODE" = 400 ] || fail "over-cap fault spec answered HTTP $CODE, want 400: $(cat "$TMP/over.json")"
+grep -q 'serve: fault: ' "$TMP/over.json" || fail "over-cap refusal does not name the fault spec: $(cat "$TMP/over.json")"
+Z=$(get "$BASE/statusz")
+[ "$(num "$Z" submits)" = "$SUBMITS" ] || fail "over-cap spec counted as a submit ($SUBMITS -> $(num "$Z" submits))"
+[ "$(num "$Z" jobs)" = "$JOBS" ] || fail "over-cap spec added a job ($JOBS -> $(num "$Z" jobs))"
+say "over-cap fault plan refused with 400; /statusz unchanged ($SUBMITS submits, $JOBS jobs)"
 
 kill "$SRV_PID" 2>/dev/null || true
 wait "$SRV_PID" 2>/dev/null || true
